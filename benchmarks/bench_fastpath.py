@@ -1,7 +1,9 @@
 """Fast-path differential guard: pure vs integer engine, plus pinned counters.
 
 Two promises are checked on a bluetooth subset of the Figure 1(c)
-corpus:
+corpus plus two programs with more than 64 letters (reorder(31)-bug and
+counter-sum(65), where packed ``(φ, letter)`` memo keys need a letter
+field wider than 6 bits):
 
 * **bit identity** — the fast engine's verdicts, rounds, proof sizes,
   per-round state counts, and counterexamples equal the pure engine's,
@@ -31,22 +33,35 @@ import time
 from pathlib import Path
 
 from repro import VerifierConfig, verify
-from repro.benchmarks import bluetooth
+from repro.benchmarks import bluetooth, svcomp
 from repro.core.commutativity import ConditionalCommutativity
 from repro.harness import atomic_write_text, emit
 from repro.logic import Solver
 
 BASELINE_PATH = Path(__file__).resolve().parent / "fastpath_baseline.json"
 
-#: (threads, mode, search) — every reduction mode plus dfs, sized for CI
+#: (program, mode, search) — every reduction mode plus dfs on bluetooth,
+#: and the wide alphabets on the default configuration; sized for CI
 CASES = (
-    (2, "combined", "bfs"),
-    (2, "combined", "dfs"),
-    (2, "sleep", "bfs"),
-    (2, "persistent", "bfs"),
-    (2, "none", "bfs"),
-    (3, "combined", "bfs"),
+    ("bluetooth(2)", "combined", "bfs"),
+    ("bluetooth(2)", "combined", "dfs"),
+    ("bluetooth(2)", "sleep", "bfs"),
+    ("bluetooth(2)", "persistent", "bfs"),
+    ("bluetooth(2)", "none", "bfs"),
+    ("bluetooth(3)", "combined", "bfs"),
+    ("reorder(31)-bug", "combined", "bfs"),
+    ("counter-sum(65)", "combined", "bfs"),
 )
+
+PROGRAMS = {
+    "bluetooth(2)": lambda: bluetooth(2),
+    "bluetooth(3)": lambda: bluetooth(3),
+    "reorder(31)-bug": lambda: svcomp.reorder(31, correct=False),
+    "counter-sum(65)": lambda: svcomp.counter_sum(65),
+}
+
+#: cases whose alphabet must exceed 64 letters
+WIDE = ("reorder(31)-bug", "counter-sum(65)")
 
 #: the pinned fast-path counters (drift = tables rebuilt or bypassed)
 COUNTER_FIELDS = (
@@ -57,16 +72,15 @@ COUNTER_FIELDS = (
     "fastpath_step_misses",
     "fastpath_commute_mask_hits",
     "fastpath_commute_mask_misses",
-    "fastpath_fallbacks",
 )
 
 
-def _case_id(threads: int, mode: str, search: str) -> str:
-    return f"bluetooth({threads})/{mode}/{search}"
+def _case_id(name: str, mode: str, search: str) -> str:
+    return f"{name}/{mode}/{search}"
 
 
-def _run(threads: int, mode: str, search: str, engine: str):
-    program = bluetooth(threads)
+def _run(name: str, mode: str, search: str, engine: str):
+    program = PROGRAMS[name]()
     solver = Solver()
     config = VerifierConfig(
         mode=mode, search=search, max_rounds=60, engine=engine
@@ -127,6 +141,8 @@ def test_fast_engine_differential(benchmark):
         f"{'case':32s} {'verdict':9s} {'pure s':>8s} {'fast s':>8s} {'speedup':>8s}"
     ]
     mismatched, drifted, slow = [], [], []
+    for name in WIDE:
+        assert len(PROGRAMS[name]().alphabet()) > 64, name
     for case, data in observed.items():
         pure_fp, pure_wall = data["pure"]
         fast_fp, fast_wall = data["fast"]

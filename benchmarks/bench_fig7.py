@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from repro.benchmarks import all_benchmarks
-from repro.verifier import default_engine
+from repro.verifier import VerifierConfig
 from repro.harness import (
     atomic_write_text,
     cache_summary,
@@ -46,7 +46,7 @@ def _emit_trajectory(wall: float, caches: dict) -> None:
         "pr": "PR10 portfolio triage",
         "wall_seconds": round(wall, 1),
         "budget_seconds": float(os.environ.get("REPRO_BUDGET", "20")),
-        "engine": default_engine(),
+        "engine": VerifierConfig().engine,
         "fastpath_rounds": caches["fastpath_rounds"],
         "triage_ranker_hits": caches["triage_ranker_hits"],
         "triage_ladder_stages": caches["triage_ladder_stages"],

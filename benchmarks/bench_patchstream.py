@@ -10,19 +10,19 @@ store in a temp directory:
   ground-truth fingerprint the delta run must reproduce bit-identically
   (verdict, rounds, counterexample, proof, per-round state counts);
 * **phase A** — the baseline program verified cold against the store,
-  which persists its shape, Hoare/commutativity facts, and exploration
-  log;
+  which persists its shape and Hoare/commutativity facts;
 * **phase B** — the edited program verified with
   ``VerifierConfig.baseline_digest`` pointing at phase A, after a
   store-registry reset (fresh-process simulation).
 
 Phase B must (a) match the scratch fingerprint exactly — served facts
-and replayed exploration prefixes can only remove work, never change
-verdicts — and (b) serve at least ``_REUSE_BAR`` of its Hoare +
-commutativity store probes from the baseline's facts.  The ``delta_*``
-counters are compared against ``benchmarks/patchstream_baseline.json``
-(checked in) with a small per-counter tolerance; drift means the diff
-classifier, the store rekeying, or the replay gate changed behavior.
+can only remove work, never change verdicts — and (b) serve at least
+``_REUSE_BAR`` of its Hoare + commutativity store probes from the
+baseline's facts.  All runs use the default (fast) engine.  The
+``delta_*`` counters are compared against
+``benchmarks/patchstream_baseline.json`` (checked in) with a small
+per-counter tolerance; drift means the diff classifier or the store
+rekeying changed behavior.
 
 To regenerate the baseline after an *intentional* change::
 
@@ -61,8 +61,6 @@ _COUNTER_KEYS = (
     "delta_hoare_missed",
     "delta_comm_reused",
     "delta_comm_missed",
-    "delta_replay_served",
-    "delta_rounds_replayed",
 )
 _COUNTER_TOLERANCE = 5
 
@@ -144,9 +142,6 @@ def _run(source, name, search, store_path=None, baseline_digest=None):
         max_rounds=60,
         store_path=store_path,
         baseline_digest=baseline_digest,
-        # exploration-log replay is recorded by the pure engine only;
-        # the pinned delta_replay_served counters assume it
-        engine="pure",
     )
     result = verify(
         program, ThreadUniformOrder(), ConditionalCommutativity(solver),
@@ -243,7 +238,7 @@ def test_patchstream_counters_match_baseline(benchmark):
     baseline = json.loads(BASELINE_PATH.read_text())
     lines = [
         f"{'scenario':24s} {'hoare':>9s} {'comm':>9s} {'reuse':>6s}"
-        f" {'replay':>6s} {'t_cold':>7s} {'t_warm':>7s}"
+        f" {'t_cold':>7s} {'t_warm':>7s}"
     ]
     for key, c in counters.items():
         t = timings[key]
@@ -251,7 +246,6 @@ def test_patchstream_counters_match_baseline(benchmark):
         comm = f"{c['delta_comm_reused']}/{c['delta_comm_reused'] + c['delta_comm_missed']}"
         lines.append(
             f"{key:24s} {hoare:>9s} {comm:>9s} {rates[key]:>5.0%}"
-            f" {c['delta_replay_served']:>6d}"
             f" {t['cold']:>6.2f}s {t['warm']:>6.2f}s"
         )
     emit("bench_patchstream", lines)

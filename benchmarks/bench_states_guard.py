@@ -4,15 +4,18 @@ The reduction/search stack promises *bit-identical* exploration across
 refactors: same verdicts, same per-round state counts, same
 counterexample traces.  This bench re-runs a small, fast subset of the
 Figure 1(c) corpus (bluetooth, 2-4 threads) across the reduction modes
-and both search strategies and compares every run against
-``benchmarks/states_baseline.json``, which is checked in.
+and both search strategies, once on the pure reference engine and once
+on the integer fast path, and compares every run of both engines
+against the same ``benchmarks/states_baseline.json``, which is checked
+in.
 
 Any drift — a state explored more or less, a different verdict, a
 different round count — fails the job.  This is the regression guard for
 the unified worklist engine / layered reduction pipeline, and for any
 future refactor that claims to preserve behavior.
 
-To regenerate the baseline after an *intentional* semantic change::
+To regenerate the baseline (from the pure engine's runs) after an
+*intentional* semantic change::
 
     REPRO_REGEN_BASELINE=1 PYTHONPATH=src \
         python -m pytest benchmarks/bench_states_guard.py -q --benchmark-disable
@@ -47,12 +50,17 @@ CASES = (
     (4, "seq", "combined", "bfs"),
 )
 
+#: both exploration engines answer to the one baseline
+ENGINES = ("pure", "fast")
+
 
 def _case_id(threads: int, order: str, mode: str, search: str) -> str:
     return f"bluetooth({threads})/{order}/{mode}/{search}"
 
 
-def _run_case(threads: int, order_name: str, mode: str, search: str) -> dict:
+def _run_case(
+    threads: int, order_name: str, mode: str, search: str, engine: str
+) -> dict:
     program = bluetooth(threads)
     order = (
         ThreadUniformOrder()
@@ -67,7 +75,8 @@ def _run_case(threads: int, order_name: str, mode: str, search: str) -> dict:
         # the checked-in per-round baseline predates incremental rounds;
         # the guard's contract is bit-identical legacy exploration
         config=VerifierConfig(
-            mode=mode, search=search, max_rounds=60, incremental=False
+            mode=mode, search=search, max_rounds=60, incremental=False,
+            engine=engine,
         ),
         solver=solver,
     )
@@ -87,7 +96,8 @@ def _run_case(threads: int, order_name: str, mode: str, search: str) -> dict:
 
 def _run_guard() -> dict:
     return {
-        _case_id(*case): _run_case(*case) for case in CASES
+        engine: {_case_id(*case): _run_case(*case, engine) for case in CASES}
+        for engine in ENGINES
     }
 
 
@@ -105,37 +115,51 @@ def test_verdicts_identical_under_interning(benchmark):
     case = (3, "seq", "combined", "bfs")
 
     def run_twice():
-        warm = _run_case(*case)
-        compact_kernel(0)
-        cold = _run_case(*case)
-        return warm, cold
+        runs = {}
+        for engine in ENGINES:
+            warm = _run_case(*case, engine)
+            compact_kernel(0)
+            runs[engine] = (warm, _run_case(*case, engine))
+        return runs
 
-    warm, cold = benchmark.pedantic(run_twice, rounds=1, iterations=1)
-    assert warm == cold, "exploration depends on intern-kernel cache state"
+    runs = benchmark.pedantic(run_twice, rounds=1, iterations=1)
     baseline = json.loads(BASELINE_PATH.read_text())
-    assert warm == baseline[_case_id(*case)], (
-        "exploration drifted from the checked-in baseline under interning"
-    )
+    for engine, (warm, cold) in runs.items():
+        assert warm == cold, (
+            f"{engine}: exploration depends on intern-kernel cache state"
+        )
+        assert warm == baseline[_case_id(*case)], (
+            f"{engine}: exploration drifted from the checked-in baseline "
+            "under interning"
+        )
 
 
 def test_states_explored_matches_baseline(benchmark):
     observed = benchmark.pedantic(_run_guard, rounds=1, iterations=1)
     if os.environ.get("REPRO_REGEN_BASELINE"):
-        atomic_write_text(BASELINE_PATH, json.dumps(observed, indent=2) + "\n")
-    baseline = json.loads(BASELINE_PATH.read_text())
-    lines = [f"{'case':38s} {'verdict':9s} {'rounds':>6s} {'states':>8s}"]
-    drifted = []
-    for case, expected in baseline.items():
-        got = observed.get(case)
-        status = "ok" if got == expected else "DRIFT"
-        if got != expected:
-            drifted.append((case, expected, got))
-        lines.append(
-            f"{case:38s} {got['verdict']:9s} {got['rounds']:>6d} "
-            f"{got['states_explored']:>8d}  {status}"
+        atomic_write_text(
+            BASELINE_PATH, json.dumps(observed["pure"], indent=2) + "\n"
         )
+    baseline = json.loads(BASELINE_PATH.read_text())
+    lines = [
+        f"{'case':38s} {'engine':6s} {'verdict':9s} {'rounds':>6s} "
+        f"{'states':>8s}"
+    ]
+    drifted = []
+    for engine, runs in observed.items():
+        assert set(runs) == set(baseline), (
+            "guard case set changed; regenerate"
+        )
+        for case, expected in baseline.items():
+            got = runs[case]
+            status = "ok" if got == expected else "DRIFT"
+            if got != expected:
+                drifted.append((f"{case} [{engine}]", expected, got))
+            lines.append(
+                f"{case:38s} {engine:6s} {got['verdict']:9s} "
+                f"{got['rounds']:>6d} {got['states_explored']:>8d}  {status}"
+            )
     emit("states_guard", lines)
-    assert set(observed) == set(baseline), "guard case set changed; regenerate"
     assert not drifted, (
         "exploration drifted from the checked-in baseline:\n"
         + "\n".join(

@@ -157,10 +157,8 @@ class WorklistEngine(Generic[State, Letter]):
         goal nor covered with an unchanged successor list; the BFS
         queue order — and therefore the discovered counterexample — is
         bit-identical to a cold run, because the successor streams are.
-        Two producers satisfy that contract today: the same-run warm
-        start (previous round's recorded edges, PR 5) and cross-run
-        delta replay (a baseline version's persisted edge streams,
-        gated per state on the edit — see ``repro.delta.replay``).
+        The producer is the proof checker's same-run warm start (the
+        previous round's recorded edges).
     """
 
     def __init__(

@@ -30,7 +30,7 @@ from .core import (
 )
 from .lang import ConcurrentProgram, ParseError, parse
 from .logic import Solver
-from .verifier import ENGINE_CHOICES, VerifierConfig, default_engine, verify, verify_portfolio
+from .verifier import VerifierConfig, verify, verify_portfolio
 
 
 def _read_program(path: str) -> ConcurrentProgram:
@@ -81,7 +81,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         simplify_proof=args.show_proof,
         incremental=not args.no_incremental,
         store_path=_store_path(args),
-        engine=args.engine or default_engine(),
     )
     if args.per_thread:
         from .verifier import combine_verdicts, verify_each_thread
@@ -118,8 +117,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_diff_verify(args: argparse.Namespace) -> int:
     """Verify NEW as an edit against OLD, reusing unchanged-thread facts.
 
-    Requires a persistent proof store: the baseline's program shape,
-    Hoare/commutativity facts, and exploration log live there.  If the
+    Requires a persistent proof store: the baseline's program shape and
+    Hoare/commutativity facts live there.  If the
     store has no record of OLD yet, OLD is verified first (a normal
     store-backed run) and NEW is then verified with
     ``baseline_digest`` pointing at it.
@@ -150,7 +149,6 @@ def _cmd_diff_verify(args: argparse.Namespace) -> int:
             time_budget=args.timeout,
             incremental=not args.no_incremental,
             store_path=store_path,
-            engine=args.engine or default_engine(),
             baseline_digest=baseline,
         )
 
@@ -238,7 +236,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         time_budget=args.timeout,
         incremental=not args.no_incremental,
         store_path=_store_path(args),
-        engine=args.engine or default_engine(),
         triage=args.triage,
     )
     if args.parallel_portfolio:
@@ -365,7 +362,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_rounds=args.max_rounds,
             time_budget=args.timeout,
             store_path=_store_path(args),
-            engine=args.engine or default_engine(),
         ),
         policies=ServicePolicies(
             admission=AdmissionPolicy(
@@ -399,8 +395,6 @@ def _submit_spec(args: argparse.Namespace, *, bench=None, path=None) -> dict:
         spec["max_attempts"] = args.max_attempts
     if args.cost != 1:
         spec["cost"] = args.cost
-    if args.engine is not None:
-        spec["engine"] = args.engine
     if getattr(args, "baseline_digest", None):
         spec["baseline_digest"] = args.baseline_digest
     if getattr(args, "no_triage", False):
@@ -494,16 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def engine_flag(p):
-        p.add_argument(
-            "--engine", default=None, choices=ENGINE_CHOICES,
-            help="exploration engine: 'pure' (rich-object layers, the "
-                 "differential oracle) or 'fast' (integer ids/bitmasks; "
-                 "bit-identical exploration, falls back to pure when the "
-                 "alphabet exceeds 64 letters); defaults to REPRO_ENGINE "
-                 "or 'fast'",
-        )
-
     def common_flags(p):
         p.add_argument("--max-rounds", type=int, default=60)
         p.add_argument("--timeout", type=float, default=None, help="seconds")
@@ -511,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--show-cache-stats", action="store_true",
             help="report solver/commutativity query counts and cache hit rates",
         )
-        engine_flag(p)
         p.add_argument(
             "--no-incremental", action="store_true",
             help="disable incremental CEGAR rounds (delta-aware "
@@ -563,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser(
         "diff-verify",
         help="verify NEW as an edit of OLD, reusing unchanged-thread "
-             "facts and replaying the baseline exploration log",
+             "facts from the proof store",
     )
     p_diff.add_argument("old", help="baseline program file")
     p_diff.add_argument("new", help="edited program file")
@@ -706,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--proof-store", metavar="PATH", default=None)
     p_serve.add_argument("--no-proof-store", action="store_true")
-    engine_flag(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(
@@ -754,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable portfolio triage for these jobs (worker-side "
              "VerifierConfig override)",
     )
-    engine_flag(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
     p_status = sub.add_parser(

@@ -1,11 +1,9 @@
-"""Delta verification: structural diffs of program versions + replay.
+"""Delta verification: structural diffs of program versions.
 
 The verify pipeline's delta layer.  :mod:`repro.delta.diff` turns two
 program versions into an :class:`EditPlan` (per-thread, per-statement
 classification over content digests) and attributes persistent-store
-reuse to it; :mod:`repro.delta.replay` replays the baseline run's
-recorded exploration against the edited program up to the edit
-frontier.  Entry points: ``verify(config.baseline_digest=...)``, the
+reuse of Hoare and commutativity facts to it.  Entry points: ``verify(config.baseline_digest=...)``, the
 ``repro diff-verify`` CLI, and the service's ``baseline_digest`` job
 field.
 """
@@ -25,12 +23,6 @@ from .diff import (
     store_shape,
     thread_shape,
 )
-from .replay import (
-    REPLAY_FORMAT,
-    REPLAY_LOG_LIMIT,
-    ReplaySource,
-    serialize_replay,
-)
 
 __all__ = [
     "ADDED",
@@ -46,8 +38,4 @@ __all__ = [
     "program_shape",
     "store_shape",
     "thread_shape",
-    "REPLAY_FORMAT",
-    "REPLAY_LOG_LIMIT",
-    "ReplaySource",
-    "serialize_replay",
 ]

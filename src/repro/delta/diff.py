@@ -19,14 +19,10 @@ program looked like and diff the new one against it.
 / ``edited`` (same CFG skeleton, some statement contents differ) /
 ``restructured`` (locations or edge lists moved) / ``added`` /
 ``removed``, with the set of *touched* statement uids of the new
-program.  Downstream consumers:
-
-* :class:`DeltaTracker` attributes store probes to the plan — how many
-  Hoare/commutativity facts were served from the store vs re-derived,
-  split by whether the statement was touched by the edit (the
-  ``delta_*`` counters of QueryStats);
-* :mod:`repro.delta.replay` gates cross-version exploration replay on
-  the plan's touched set.
+program.  Its consumer, :class:`DeltaTracker`, attributes store
+probes to the plan — how many Hoare/commutativity facts were served
+from the store vs re-derived, split by whether the statement was
+touched by the edit (the ``delta_*`` counters of QueryStats).
 """
 
 from __future__ import annotations
@@ -139,7 +135,7 @@ class EditPlan:
     touched by the edit: the content-differing statements of EDITED
     threads, and every statement of RESTRUCTURED/ADDED threads.
     REMOVED threads contribute no uids (they have no statements in the
-    new program) but do make the plan replay-incompatible.
+    new program).
     """
 
     baseline_digest: str
@@ -168,22 +164,6 @@ class EditPlan:
     @property
     def statements_edited(self) -> int:
         return len(self.edited_uids)
-
-    @property
-    def replay_compatible(self) -> bool:
-        """May old exploration logs be replayed against the new program?
-
-        Requires an identical spec and an identical CFG skeleton
-        everywhere: every thread UNCHANGED or EDITED (locations and edge
-        lists aligned; only statement *contents* moved).  Observer
-        status (`error is not None`), location sets, and uid rank order
-        are then identical between the versions, so a recorded state
-        tuple means the same thing in both — the remaining difference is
-        confined to ``edited_uids`` and gated per state by the replayer.
-        """
-        return not self.spec_changed and all(
-            t.status in (UNCHANGED, EDITED) for t in self.threads
-        )
 
     def summary(self) -> str:
         parts = [

@@ -27,19 +27,17 @@ the compiled counterpart of that stack:
 
 The encoding is a bijection and the fast loops replicate the pure
 loops' visit order exactly, so verdicts, rounds, proofs,
-counterexamples, and per-round state counts are bit-identical — the
-pure engine stays available (``--engine pure``) as the differential
-oracle, and alphabets wider than a machine word fall back to it with a
-warning, never a wrong answer.
+counterexamples, and per-round state counts are bit-identical.  This is
+the only production engine, for alphabets of any width; the pure stack
+stays intact as the reference implementation, selected with
+``VerifierConfig(engine="pure")`` by the differential tests and guards.
 """
 
-from .encoder import WORD_BITS, AlphabetOverflow, ProgramEncoder
+from .encoder import ProgramEncoder
 from .pipeline import FastPipeline
 from .check import FastChecker
 
 __all__ = [
-    "WORD_BITS",
-    "AlphabetOverflow",
     "ProgramEncoder",
     "FastPipeline",
     "FastChecker",

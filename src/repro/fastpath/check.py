@@ -18,6 +18,8 @@ pure path cannot express cheaply:
 * ``step`` — ``(φ_id, a_id) -> φ_id``; a thin integer front for the
   Hoare automaton's own step cache, cleared whenever the vocabulary
   grows (stepping under more predicates can strengthen the successor);
+  keyed by ``(φ_id << letter_bits) | a_id``, with the shift sized to the
+  alphabet by the encoder so no two pairs share a key;
 * ``entails`` — ``φ_id -> bool`` for the exit-state postcondition
   check; stable across rounds because an interned φ always denotes the
   same assertion (old predicate indices never change meaning);
@@ -82,12 +84,9 @@ class _FastUselessHook:
 class FastChecker:
     """One proof checker's compiled fast path (all CEGAR rounds).
 
-    Construction compiles the program and order (raising
-    :class:`~repro.fastpath.encoder.AlphabetOverflow` when the alphabet
-    does not fit a machine word — the caller falls back to the pure
-    engine); :meth:`check` then mirrors
-    :meth:`~repro.verifier.checkproof.ProofChecker.check` round for
-    round.
+    Construction compiles the program and order; :meth:`check` then
+    mirrors :meth:`~repro.verifier.checkproof.ProofChecker.check` round
+    for round.
     """
 
     def __init__(self, checker) -> None:
@@ -107,6 +106,7 @@ class FastChecker:
         # static relations answer independently of φ: one mask per letter
         self._static_commute = checker._conditional is None
         self.bottom = enc.phi_id(BOTTOM)
+        self._shift = enc.letter_bits
         # goal flags per product-state id: bit 1 violation, bit 2 exit
         self._flags: list[int] = []
         # the id-keyed memos (see module docstring)
@@ -175,7 +175,7 @@ class FastChecker:
 
     def step(self, phi: int, a_id: int) -> int:
         """``(φ_id, a_id) -> φ_id`` through the Hoare automaton."""
-        key = (phi << 6) | a_id
+        key = (phi << self._shift) | a_id
         nxt = self._step_memo.get(key)
         if nxt is None:
             self.step_misses += 1
@@ -217,7 +217,9 @@ class FastChecker:
         same subsumption cache and solver the pure sleep rule uses, so
         the answers are identical (only the query *counts* differ).
         """
-        key = a_id if self._static_commute else ((phi << 6) | a_id)
+        key = (
+            a_id if self._static_commute else ((phi << self._shift) | a_id)
+        )
         entry = self._cmask.get(key)
         if entry is None:
             entry = [0, 0]
@@ -368,7 +370,3 @@ class FastChecker:
                 (a_id, nxt[0], nxt[2], nxt[3]) for a_id, nxt in edges
             )
         self._warm = warm
-
-    @property
-    def warm_states_recorded(self) -> int:
-        return len(self._warm) if self._warm is not None else 0

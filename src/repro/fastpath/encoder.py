@@ -6,11 +6,10 @@ representation before search:
 * **letters** — the product alphabet, sorted by statement uid (the
   ⋖-tiebreak order, so ids are stable and reproducible), gets dense ids
   ``0..|Σ|-1``; a *set* of letters is an int bitmask with bit ``i`` for
-  letter ``i``.  Alphabets wider than :data:`WORD_BITS` raise
-  :class:`AlphabetOverflow` — the caller falls back to the pure engine
-  (python ints are arbitrary-precision, but past a machine word the
-  mask arithmetic loses its advantage and the packing claim its
-  honesty).
+  letter ``i``.  Python ints are arbitrary-precision, so alphabets of
+  any width encode; ``letter_bits`` is the width of a letter id, the
+  shift the fast path uses to pack ``(φ_id, a_id)`` memo keys into one
+  int without collisions.
 * **product states / contexts / Floyd-Hoare states** — interned to
   dense ids on first sight.  Interning is a bijection, so two packed
   states are equal iff the rich tuples are: the engine's seen set,
@@ -33,24 +32,9 @@ from ..lang.program import ConcurrentProgram, ProductState
 from ..lang.statements import Statement
 from ..verifier.hoare import FhState
 
-#: bitmask width budget: one machine word
-WORD_BITS = 64
-
-
-class AlphabetOverflow(Exception):
-    """The program's alphabet does not fit in one machine word.
-
-    Raised at encoder construction; the proof checker catches it and
-    falls back to the pure engine with a warning (never a wrong
-    answer).
-    """
-
-    def __init__(self, size: int) -> None:
-        super().__init__(
-            f"alphabet has {size} letters, more than the {WORD_BITS}-bit "
-            f"fast-path word; falling back to the pure engine"
-        )
-        self.size = size
+#: minimum letter-id width of packed ``(φ_id, a_id)`` keys: alphabets of
+#: up to 64 letters pack as ``(φ_id << 6) | a_id``
+MIN_LETTER_BITS = 6
 
 
 class ProgramEncoder:
@@ -65,11 +49,14 @@ class ProgramEncoder:
 
     def __init__(self, program: ConcurrentProgram, order: PreferenceOrder) -> None:
         letters = sorted(program.alphabet(), key=lambda s: s.uid)
-        if len(letters) > WORD_BITS:
-            raise AlphabetOverflow(len(letters))
         self.program = program
         self.order = order
         self.letters: tuple[Statement, ...] = tuple(letters)
+        #: bits of a letter id: ``(φ_id << letter_bits) | a_id`` is a
+        #: collision-free key for every ``a_id < len(letters)``
+        self.letter_bits = max(
+            MIN_LETTER_BITS, (len(letters) - 1).bit_length()
+        )
         self.letter_id: dict[Statement, int] = {
             s: i for i, s in enumerate(letters)
         }

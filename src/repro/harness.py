@@ -318,9 +318,9 @@ def cache_summary(
     intern_hits = intern_misses = subst_hits = subst_misses = reinterned = 0
     fh_delta_hits = fh_delta_misses = warm_reused = warm_dirty = 0
     store_hits = store_misses = store_writes = 0
-    fast_rounds = fast_step_hits = fast_cmask_hits = fast_fallbacks = 0
+    fast_rounds = fast_step_hits = fast_cmask_hits = 0
     delta_hoare_reused = delta_hoare_missed = 0
-    delta_comm_reused = delta_comm_missed = delta_replay_served = 0
+    delta_comm_reused = delta_comm_missed = 0
     triage_ranker_hits = triage_ladder_stages = triage_preemptions = 0
     triage_budget_saved = 0.0
     solver_time = 0.0
@@ -355,12 +355,10 @@ def cache_summary(
         fast_rounds += qs.fastpath_rounds
         fast_step_hits += qs.fastpath_step_hits
         fast_cmask_hits += qs.fastpath_commute_mask_hits
-        fast_fallbacks += qs.fastpath_fallbacks
         delta_hoare_reused += qs.delta_hoare_reused
         delta_hoare_missed += qs.delta_hoare_missed
         delta_comm_reused += qs.delta_comm_reused
         delta_comm_missed += qs.delta_comm_missed
-        delta_replay_served += qs.delta_replay_served
         triage_ranker_hits += qs.triage_ranker_hits
         triage_ladder_stages += qs.triage_ladder_stages
         triage_preemptions += qs.triage_preemptions
@@ -395,7 +393,6 @@ def cache_summary(
         "fastpath_rounds": fast_rounds,
         "fastpath_step_hits": fast_step_hits,
         "fastpath_commute_mask_hits": fast_cmask_hits,
-        "fastpath_fallbacks": fast_fallbacks,
         "store_hits": store_hits,
         "store_misses": store_misses,
         "store_writes": store_writes,
@@ -406,7 +403,6 @@ def cache_summary(
         ),
         "delta_hoare_reused": delta_hoare_reused,
         "delta_comm_reused": delta_comm_reused,
-        "delta_replay_served": delta_replay_served,
         "delta_fact_reuse_rate": (
             round((delta_hoare_reused + delta_comm_reused) / delta_asked, 4)
             if delta_asked

@@ -75,7 +75,6 @@ JOB_FIELDS = (
     "timeout",
     "max_attempts",
     "faults",
-    "engine",
     "baseline_digest",
     "triage",
 )
@@ -173,8 +172,6 @@ def normalize_job_spec(raw: dict) -> dict:
             raise ProtocolError("'timeout' must be a number") from exc
         if spec["timeout"] <= 0:
             raise ProtocolError("'timeout' must be positive")
-    if "engine" in spec and spec["engine"] not in ("pure", "fast"):
-        raise ProtocolError(f"unknown engine {spec['engine']!r}")
     if "triage" in spec and not isinstance(spec["triage"], bool):
         raise ProtocolError("'triage' must be a boolean")
     return spec

@@ -76,8 +76,6 @@ def job_config(spec: dict, base: VerifierConfig, scale: float) -> VerifierConfig
         overrides["search"] = spec["search"]
     if spec.get("max_rounds"):
         overrides["max_rounds"] = spec["max_rounds"]
-    if spec.get("engine"):
-        overrides["engine"] = spec["engine"]
     if spec.get("baseline_digest"):
         overrides["baseline_digest"] = spec["baseline_digest"]
     if spec.get("triage") is not None:

@@ -26,7 +26,6 @@ from .store import (
     FORMAT_VERSION,
     KIND_COMM,
     KIND_COMM_COND,
-    KIND_EXPLORE,
     KIND_HOARE,
     KIND_OUTCOME,
     KIND_SAT,
@@ -50,7 +49,6 @@ __all__ = [
     "FORMAT_VERSION",
     "KIND_COMM",
     "KIND_COMM_COND",
-    "KIND_EXPLORE",
     "KIND_HOARE",
     "KIND_OUTCOME",
     "KIND_SAT",

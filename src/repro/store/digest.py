@@ -202,7 +202,8 @@ def program_digest(program: ConcurrentProgram) -> bytes:
     """Content digest of a whole program: thread CFAs plus the spec.
 
     Edits anywhere in the program change this digest, which keys the
-    per-program artifacts (exploration logs); the term/statement-level
+    per-program artifacts (the delta layer's structural shapes); the
+    term/statement-level
     entries are keyed by their own digests and survive program edits
     that do not touch them.
     """

@@ -13,7 +13,7 @@ where the payload is ``{"k": kind, "key": hex digest, "v": value}``.
 Records are content-addressed: the key is a digest from
 :mod:`repro.store.digest`, so the same fact gets the same key in every
 process that ever derives it.  Values are plain JSON (verdict booleans,
-exploration summaries, serialized terms) — never pickles, so a corrupt
+program shapes, serialized terms) — never pickles, so a corrupt
 file can at worst fail to parse, not execute.
 
 Durability follows the PR 2 pattern: a segment is staged to a temp file
@@ -51,9 +51,11 @@ from pathlib import Path
 
 log = logging.getLogger("repro.store")
 
-#: manifest format version; a store written by a newer format is
-#: ignored (cold start), never guessed at
-FORMAT_VERSION = 1
+#: manifest format version; a store written by any other format is
+#: ignored (cold start), never guessed at.  Version 2 dropped the
+#: ``explore`` record kind: a version-1 store may hold such records,
+#: which this loader would otherwise count as corrupt.
+FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 SEGMENT_PREFIX = "segment-"
@@ -72,13 +74,12 @@ KIND_SAT = "sat"            # solver verdict of a normalized formula
 KIND_HOARE = "hoare"        # Hoare-triple validity
 KIND_COMM = "comm"          # unconditional commutativity of a pair
 KIND_COMM_COND = "commc"    # conditional commutativity under a context
-KIND_EXPLORE = "explore"    # per-(program, order, search, mode) log
 KIND_SHAPE = "shape"        # per-program structural shape (delta diffing)
 KIND_OUTCOME = "outcome"    # portfolio-member outcome row (triage ranker)
 
 KINDS = (
-    KIND_SAT, KIND_HOARE, KIND_COMM, KIND_COMM_COND, KIND_EXPLORE,
-    KIND_SHAPE, KIND_OUTCOME,
+    KIND_SAT, KIND_HOARE, KIND_COMM, KIND_COMM_COND, KIND_SHAPE,
+    KIND_OUTCOME,
 )
 
 
@@ -187,7 +188,7 @@ class ProofStore:
                 self.max_records = cap
         else:
             self._write_manifest()
-        self._load_segments()
+        self._read_segments(self._segments(), self._entries)
 
     def _write_manifest(self) -> None:
         _atomic_write(
@@ -206,8 +207,9 @@ class ProofStore:
             and p.name.endswith(SEGMENT_SUFFIX)
         )
 
-    def _load_segments(self) -> None:
-        for segment in self._segments():
+    def _read_segments(self, segments: list[Path], into: dict) -> None:
+        """Merge every readable record of *segments* into *into*."""
+        for segment in segments:
             try:
                 text = segment.read_text(errors="replace")
             except OSError as exc:
@@ -237,7 +239,7 @@ class ProofStore:
                 if kind not in KINDS or not isinstance(key, str):
                     bad += 1
                     continue
-                self._entries[(kind, key)] = value
+                into[(kind, key)] = value
             if bad:
                 log.warning(
                     "proof store %s: %d corrupt record(s) in %s ignored "
@@ -432,7 +434,15 @@ class ProofStore:
             self._release_compaction_lock(lock_fd)
 
     def _compact_locked(self) -> int:
-        merged = dict(self._entries)
+        # re-read the segments under the lock: another process may have
+        # compacted since this instance loaded, deleting segments it
+        # never read, and a merge of memory alone would drop them.  Only
+        # the segments read here are deleted below, so a segment another
+        # process publishes meanwhile survives.
+        old_segments = self._segments()
+        merged: dict = {}
+        self._read_segments(old_segments, merged)
+        merged.update(self._entries)
         merged.update(self._pending)
         evicted = 0
         if len(merged) > self.max_records:
@@ -461,7 +471,6 @@ class ProofStore:
             f"{SEGMENT_SUFFIX}"
         )
         self._flush_seq += 1
-        old_segments = self._segments()
         try:
             _atomic_write(self.path / name, "".join(lines))
         except OSError as exc:

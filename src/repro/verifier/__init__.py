@@ -29,7 +29,7 @@ from .portfolio import (
     standard_orders,
     verify_portfolio,
 )
-from .refinement import ENGINE_CHOICES, VerifierConfig, default_engine, verify
+from .refinement import VerifierConfig, verify
 from .runtime import (
     DegradingCommutativity,
     RetryPolicy,
@@ -79,9 +79,7 @@ __all__ = [
     "DegradingCommutativity",
     "RetryPolicy",
     "run_parallel_portfolio",
-    "ENGINE_CHOICES",
     "VerifierConfig",
-    "default_engine",
     "verify",
     "QueryStats",
     "RoundStats",

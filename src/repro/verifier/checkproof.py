@@ -50,7 +50,6 @@ are a BFS feature.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -309,39 +308,16 @@ class ProofChecker:
         self._incremental = incremental
         self._warm: WarmMap | None = None
         self._last_fh: FloydHoareAutomaton | None = None
-        #: replayed states whose recorded edges were reused verbatim
+        #: warm-map states whose recorded edges were reused verbatim
         self.warm_start_reused = 0
         #: dirty-frontier seeds handed back to the live search
         self.warm_start_dirty = 0
-        # cross-version replay (delta verification): both set by the
-        # delta stage of ``verify()``.  ``replay`` serves the baseline
-        # run's recorded rounds; ``record_logs`` retains this run's own
-        # rounds so the solved run can be a future baseline.  Pure
-        # engine + bfs + incremental only.
-        self.replay = None
-        self.record_logs = False
-        self._round_logs: list[dict] | None = []
-        self._round_log_entries = 0
-        self._vocab_at_round: list[int] = []
-        #: states served from the *baseline run's* recorded edges (the
-        #: same-run warm map takes precedence and counts separately)
-        self.delta_replay_served = 0
-        # the integer fast path: compile the program once up front; an
-        # alphabet wider than the fast-path machine word falls back to
-        # the pure engine with a warning — never a wrong answer
+        # the integer fast path: compile the program once up front
         self._fast = None
-        self.engine_name = "pure"
-        #: fast-engine requests that fell back to the pure engine
-        self.fastpath_fallbacks = 0
         if engine == "fast":
-            from ..fastpath import AlphabetOverflow, FastChecker
+            from ..fastpath import FastChecker
 
-            try:
-                self._fast = FastChecker(self)
-                self.engine_name = "fast"
-            except AlphabetOverflow as exc:
-                warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
-                self.fastpath_fallbacks = 1
+            self._fast = FastChecker(self)
 
     # -- engine counters ------------------------------------------------------
 
@@ -379,7 +355,7 @@ class ProofChecker:
     def edge_sort_misses(self) -> int:
         return self._layer.context.stats.edge_sort_misses
 
-    # fast-engine counters (all 0 on the pure engine / after a fallback)
+    # fast-engine counters (all 0 on the pure engine)
 
     @property
     def fastpath_rounds(self) -> int:
@@ -528,107 +504,6 @@ class ProofChecker:
 
         return hook
 
-    def _compose_warm(
-        self, fh: FloydHoareAutomaton, replay_map: "dict | None"
-    ) -> "Callable[[CheckState], list[tuple[Statement, CheckState]] | None] | None":
-        """Layer the cross-version replay map under the same-run warm map.
-
-        The same-run map answers first — it reflects *this* run's own
-        previous round verbatim and needs no gating.  Only states it
-        does not know fall through to the baseline run's recorded round
-        (already edit-gated and vocabulary-checked by the
-        :class:`~repro.delta.ReplaySource`); both serve the same
-        WarmEdge shape, with the successor φ components re-stepped here.
-        """
-        base = (
-            self._warm_hook(fh) if self._warm is not None else None
-        )
-        if replay_map is None:
-            return base
-        step = fh.step
-
-        def hook(state: CheckState):
-            if base is not None:
-                served = base(state)
-                if served is not None:
-                    return served
-            edges = replay_map.get(state)
-            if edges is None:
-                return None
-            self.delta_replay_served += 1
-            phi_state = state[1]
-            return [
-                (a, (q2, step(phi_state, a), sleep2, ctx2))
-                for a, q2, sleep2, ctx2 in edges
-            ]
-
-        return hook
-
-    def _retain_round_log(self, log) -> None:
-        """Keep this round's edges for the persisted replay payload.
-
-        Successor φ components are stripped exactly as in
-        :meth:`_merge_warm` — a future replay re-steps them against its
-        own vocabulary.  Overflowing the replay budget disables
-        retention for the rest of the run (the payload must stay a
-        bounded fraction of the ``explore`` record).
-        """
-        from ..delta.replay import REPLAY_LOG_LIMIT
-
-        if self._round_logs is None:
-            return
-        entries = {
-            state: tuple((a, nxt[0], nxt[2], nxt[3]) for a, nxt in edges)
-            for state, edges in log.edges.items()
-        }
-        self._round_log_entries += len(entries)
-        if self._round_log_entries > REPLAY_LOG_LIMIT:
-            self._round_logs = None
-            return
-        self._round_logs.append(entries)
-
-    def replay_payload(self, fh: FloydHoareAutomaton) -> dict | None:
-        """The JSON-able replay payload of this run, or None.
-
-        Persisted by ``verify()`` inside the ``explore`` record; a later
-        delta run against an edited version of this program replays it
-        up to the edit frontier.
-        """
-        if not self.record_logs or not self._round_logs:
-            return None
-        from ..delta.replay import serialize_replay
-
-        return serialize_replay(
-            self._round_logs, self._vocab_at_round, fh.predicates
-        )
-
-    def exploration_summary(self) -> dict:
-        """JSON-able summary of this checker's exploration (all rounds).
-
-        Persisted by ``verify()`` into the proof store (kind
-        ``explore``) next to the round/predicate data: a re-verification
-        of the same program can read how the previous run explored —
-        states expanded, warm-start reuse, recorded warm-map size —
-        without re-deriving it.  Pure data; never fed back into control
-        flow, so storing it cannot perturb a verdict.
-        """
-        return {
-            "search": self.search,
-            "mode": self.mode,
-            "engine": self.engine_name,
-            "states_explored": self.engine_states_explored,
-            "warm_start_reused": self.warm_start_reused,
-            "warm_start_dirty": self.warm_start_dirty,
-            "warm_states_recorded": (
-                self._fast.warm_states_recorded
-                if self._fast is not None
-                else len(self._warm) if self._warm is not None else 0
-            ),
-            "commute_queries": self.commute_queries,
-            "commute_subsumption_hits": self.commute_subsumption_hits,
-            "delta_replay_served": self.delta_replay_served,
-        }
-
     def _merge_warm(self, result) -> None:
         """Fold this round's exploration into the cross-round warm map."""
         seen = result.seen
@@ -654,11 +529,6 @@ class ProofChecker:
         initial = layer.initial_state(pre)
         assertions: set[FhState] = set()
         incremental = self._incremental and self.search == "bfs"
-        self._vocab_at_round.append(len(fh.predicates))
-        round_index = len(self._vocab_at_round) - 1
-        replay_map = None
-        if incremental and self.replay is not None:
-            replay_map = self.replay.map_for_round(round_index, fh)
         engine: WorklistEngine = WorklistEngine(
             layer.successors,
             strategy=self.search,
@@ -676,9 +546,8 @@ class ProofChecker:
             ),
             record=incremental,
             warm=(
-                self._compose_warm(fh, replay_map)
-                if incremental
-                and (self._warm is not None or replay_map is not None)
+                self._warm_hook(fh)
+                if incremental and self._warm is not None
                 else None
             ),
         )
@@ -693,8 +562,6 @@ class ProofChecker:
             self.warm_start_dirty += engine.stats.warm_misses
         if incremental:
             self._merge_warm(result)
-            if self.record_logs and result.log is not None:
-                self._retain_round_log(result.log)
         return CheckOutcome(
             result.trace, result.states_explored, len(assertions)
         )

@@ -11,10 +11,9 @@ exhausted (TIMEOUT).
 
 from __future__ import annotations
 
-import os
 import time
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..automata.engine import BudgetExceeded
 from ..core.commutativity import CommutativityRelation, ConditionalCommutativity
@@ -34,25 +33,6 @@ from .faults import attach_env_faults
 from .hoare import FloydHoareAutomaton
 from .interpolate import annotate_trace, extract_predicates, refutes, trace_feasible
 from .stats import QueryStats, RoundStats, Verdict, VerificationResult
-
-
-#: the exploration engines the proof checker can run on
-ENGINE_CHOICES = ("pure", "fast")
-
-
-def default_engine() -> str:
-    """The engine to use when a config does not pin one.
-
-    ``REPRO_ENGINE=pure`` (or ``fast``) overrides process-wide — the
-    hook CI and the benchmark harness use to pin the whole stack to one
-    engine without threading a flag through every call site.  Unset or
-    unrecognized values mean ``"fast"``: the integer fast path has been
-    bit-identical under the exploration-identity guard for a full
-    deprecation window (PR 8 → PR 10), so it is now the default; the
-    pure stack stays fully supported as the differential oracle.
-    """
-    value = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    return value if value in ENGINE_CHOICES else "fast"
 
 
 @dataclass
@@ -82,26 +62,24 @@ class VerifierConfig:
     #: disabled path is byte-identical to not having the feature.
     #: Solver verdicts, Hoare triples, and commutativity facts are
     #: looked up after every in-memory cache misses and written back
-    #: (definite verdicts only); exploration logs are recorded per
-    #: solved run.  A corrupt or version-skewed store degrades to a
-    #: cold start with a logged warning, never a wrong verdict.
+    #: (definite verdicts only).  A corrupt or version-skewed store
+    #: degrades to a cold start with a logged warning, never a wrong
+    #: verdict.
     store_path: str | None = None
-    #: exploration engine: ``"pure"`` (rich-object layers, the
-    #: differential oracle) or ``"fast"`` (the integer fast path of
-    #: :mod:`repro.fastpath` — bit-identical exploration, falls back to
-    #: pure with a warning when the alphabet overflows a machine word).
-    #: Defaults from ``REPRO_ENGINE``; CLI flag ``--engine``.
-    engine: str = field(default_factory=default_engine)
+    #: exploration engine.  Production runs always use ``"fast"``, the
+    #: integer fast path of :mod:`repro.fastpath`.  ``"pure"`` selects
+    #: the rich-object reference stack: the differential oracle the
+    #: tests and guards compare the fast path against (bit-identical
+    #: verdicts, rounds, proofs, counterexamples, per-round states).
+    engine: str = "fast"
     #: delta verification: the content digest (hex) of a previously
     #: verified program version whose stored shape this run's program is
     #: an *edit* of.  Requires ``store_path``.  The pipeline's delta
-    #: stage diffs the two versions into an edit plan, attributes
-    #: store reuse to it (the ``delta_*`` counters), and — for
-    #: skeleton-compatible edits under bfs/incremental/pure — replays
-    #: the baseline run's recorded exploration up to the edit frontier.
-    #: A missing or unreadable baseline degrades to a plain run.
-    #: Verdicts are never affected: every reused fact is definite and
-    #: every replayed stream is gated (see :mod:`repro.delta`).
+    #: stage diffs the two versions into an edit plan and attributes
+    #: persistent-store reuse of Hoare and commutativity facts to it
+    #: (the ``delta_*`` counters).  A missing or unreadable baseline
+    #: degrades to a plain run.  Verdicts are never affected: every
+    #: reused fact is definite (see :mod:`repro.delta`).
     baseline_digest: str | None = None
     #: portfolio triage (:mod:`repro.verifier.triage`): feature-ranked
     #: member order, staged budget ladders, and progress-based loser
@@ -138,9 +116,7 @@ class _PipelineState:
     digest_baseline: dict | None = None
     tracking: bool = False
     # -- delta stage
-    plan: object | None = None  # repro.delta.EditPlan
     tracker: object | None = None  # repro.delta.DeltaTracker
-    replay: object | None = None  # repro.delta.ReplaySource
     # -- build stage
     fh: FloydHoareAutomaton | None = None
     checker: ProofChecker | None = None
@@ -163,11 +139,10 @@ def verify(
 
     Internally a staged pipeline: prepare → attach store → clocks →
     **delta** (diff against ``config.baseline_digest``, attach reuse
-    attribution, arm exploration replay) → build (Floyd/Hoare automaton
-    + proof checker) → refine (the CEGAR loop).  Every stage before
-    *refine* only wires caches and observers, so a degraded stage (no
-    store, unreadable baseline, incompatible edit) can never change a
-    verdict — at worst the run is cold.
+    attribution) → build (Floyd/Hoare automaton + proof checker) →
+    refine (the CEGAR loop).  Every stage before *refine* only wires
+    caches and observers, so a degraded stage (no store, unreadable
+    baseline) can never change a verdict — at worst the run is cold.
     """
     ps = _stage_prepare(program, order, commutativity, config, solver)
     _stage_attach_store(ps)
@@ -234,27 +209,19 @@ def _stage_clocks(ps: _PipelineState) -> None:
 
 
 def _stage_delta(ps: _PipelineState) -> None:
-    """The delta layer: diff against the baseline, arm reuse + replay.
+    """The delta layer: diff against the baseline, attribute reuse.
 
     Always persists this program's structural shape (any store-backed
     run can serve as a future baseline).  With a ``baseline_digest``
     configured, loads the baseline's stored shape, computes the
-    :class:`~repro.delta.EditPlan`, attaches a
+    :class:`~repro.delta.EditPlan`, and attaches a
     :class:`~repro.delta.DeltaTracker` to the Hoare/commutativity store
-    probes (pure observation), and — when the edit is
-    skeleton-compatible and the run is bfs/incremental — arms replay of
-    the baseline run's recorded exploration.  Every failure mode
-    degrades to a plain run.
+    probes (pure observation).  Every failure mode degrades to a plain
+    run.
     """
     if ps.store is None:
         return
-    from ..delta import (
-        DeltaTracker,
-        EditPlan,
-        ReplaySource,
-        load_shape,
-        store_shape,
-    )
+    from ..delta import DeltaTracker, EditPlan, load_shape, store_shape
 
     store_shape(ps.store, ps.program)
     if not ps.config.baseline_digest:
@@ -262,36 +229,16 @@ def _stage_delta(ps: _PipelineState) -> None:
     shape = load_shape(ps.store, ps.config.baseline_digest)
     if shape is None:
         return
-    plan = EditPlan.compute(
-        shape, ps.program, baseline_digest=ps.config.baseline_digest
+    ps.tracker = DeltaTracker(
+        EditPlan.compute(
+            shape, ps.program, baseline_digest=ps.config.baseline_digest
+        )
     )
-    ps.plan = plan
-    ps.tracker = DeltaTracker(plan)
     attach = getattr(ps.commutativity, "attach_delta", None)
     if attach is not None:
         attach(ps.tracker)
     elif hasattr(ps.commutativity, "delta_tracker"):
         ps.commutativity.delta_tracker = ps.tracker
-    if not (
-        plan.replay_compatible
-        and ps.config.search == "bfs"
-        and ps.config.incremental
-    ):
-        return
-    from ..store import KIND_EXPLORE
-
-    record = ps.store.get(
-        KIND_EXPLORE,
-        _explore_key(
-            bytes.fromhex(ps.config.baseline_digest), ps.order.name, ps.config
-        ),
-    )
-    payload = record.get("replay") if isinstance(record, dict) else None
-    if not payload:
-        return
-    replay = ReplaySource(payload, plan, ps.program, ps.config.mode)
-    if replay.ok:
-        ps.replay = replay
 
 
 def _stage_build(ps: _PipelineState) -> None:
@@ -321,17 +268,6 @@ def _stage_build(ps: _PipelineState) -> None:
         incremental=config.incremental,
         engine=config.engine,
     )
-    # exploration replay and recording are a pure-engine bfs feature
-    # (the fast path has its own warm machinery and no recorded log)
-    if (
-        ps.checker.engine_name == "pure"
-        and config.search == "bfs"
-        and config.incremental
-    ):
-        if ps.replay is not None:
-            ps.checker.replay = ps.replay
-        if ps.store is not None:
-            ps.checker.record_logs = True
 
 
 def _stage_refine(ps: _PipelineState) -> VerificationResult:
@@ -349,19 +285,12 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
         # TIMEOUT/UNKNOWN (how far refinement got before giving up)
         result.num_predicates = len(fh.predicates)
         if store is not None:
-            # the store and run_cached agree on what is memoizable:
-            # exploration logs persist for solved verdicts only — a
-            # TIMEOUT/UNKNOWN/ERROR must stay re-queryable
-            if result.verdict.solved:
-                _record_exploration(
-                    store, program, order, config, checker, result, fh
-                )
             store.flush()
         result.query_stats = QueryStats.collect(
             solver, commutativity, checker,
             kernel_baseline=ps.kernel_baseline,
             store=store, store_baseline=ps.store_baseline,
-            delta=ps.tracker, replay=ps.replay,
+            delta=ps.tracker,
             digest_baseline=ps.digest_baseline,
         )
         # verify() boundary is the kernel's compaction point: clear the
@@ -383,9 +312,7 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
         verdict=Verdict.UNKNOWN,
         order_name=order.name,
         mode=config.mode,
-        # what actually runs, not what was asked for: a "fast" request
-        # can fall back to "pure" on alphabet overflow
-        engine=checker.engine_name,
+        engine=config.engine,
     )
 
     for round_index in range(config.max_rounds):
@@ -486,89 +413,6 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
 
     result.verdict = Verdict.TIMEOUT
     return finish(result)
-
-
-def _explore_key(
-    digest: bytes, order_name: str, config: "VerifierConfig"
-) -> bytes:
-    """The ``explore``-record key for a program digest + configuration.
-
-    Shared by the writer, the same-program reader, and the delta stage
-    (which keys by the *baseline's* digest instead of the current
-    program's) — the three must agree bit-for-bit.
-    """
-    from ..store import pair_digest
-
-    return pair_digest(
-        digest,
-        order_name.encode(),
-        config.search.encode(),
-        config.mode.encode(),
-        b"inc" if config.incremental else b"scratch",
-    )
-
-
-def _record_exploration(
-    store, program, order, config, checker, result, fh
-) -> None:
-    """Persist the run's exploration log (kind ``explore``).
-
-    Keyed by the program's content digest plus the run configuration, so
-    a re-verification (or a delta-verification of an edited program that
-    hashes differently) can read what the previous run did: verdict,
-    rounds, per-round state counts, proof predicates (canonically
-    serialized, re-interned on load), the checker's warm-start/engine
-    summary, and — when round logs were recorded — the replay payload a
-    future delta run replays (:mod:`repro.delta.replay`).  Only called
-    for solved verdicts — budget-dependent outcomes are never persisted.
-    """
-    from ..store import KIND_EXPLORE, program_digest, term_to_obj
-
-    key = _explore_key(program_digest(program), order.name, config)
-    record = {
-        "program": program.name,
-        "order": order.name,
-        "verdict": result.verdict.value,
-        "rounds": result.rounds,
-        "proof_size": result.proof_size,
-        "num_predicates": len(fh.predicates),
-        "states_per_round": [r.states_explored for r in result.round_stats],
-        "counterexample": (
-            [s.label for s in result.counterexample]
-            if result.counterexample is not None
-            else None
-        ),
-        "predicates": [term_to_obj(p) for p in fh.predicates],
-        "exploration": checker.exploration_summary(),
-    }
-    payload = checker.replay_payload(fh)
-    if payload is not None:
-        record["replay"] = payload
-    store.put(KIND_EXPLORE, key, record)
-
-
-def load_exploration(
-    store, program, order_name: str, config: "VerifierConfig"
-):
-    """The stored exploration record for this program/configuration.
-
-    Returns ``(record, predicates)`` with the proof predicates
-    re-interned through the kernel's ``_reintern`` hook, or ``None`` if
-    the store has no (readable) record.  Malformed predicate encodings
-    degrade to an empty predicate list, never an exception.
-    """
-    from ..store import KIND_EXPLORE, program_digest, term_from_obj
-
-    key = _explore_key(program_digest(program), order_name, config)
-    record = store.get(KIND_EXPLORE, key)
-    if not isinstance(record, dict):
-        return None
-    predicates = []
-    try:
-        predicates = [term_from_obj(obj) for obj in record.get("predicates", ())]
-    except (ValueError, TypeError, KeyError, IndexError):
-        predicates = []
-    return record, tuple(predicates)
 
 
 def _deadline_epoch(started: float, time_budget: float | None) -> float | None:

@@ -39,7 +39,6 @@ _CSV_FIELDS = (
     "fastpath_rounds",
     "fastpath_step_hits",
     "fastpath_commute_mask_hits",
-    "fastpath_fallbacks",
     "intern_hit_rate",
     "substitute_hit_rate",
     "reintern_count",
@@ -55,7 +54,6 @@ _CSV_FIELDS = (
     "delta_hoare_reused",
     "delta_comm_reused",
     "delta_fact_reuse_rate",
-    "delta_replay_served",
     "triage_ranker_hits",
     "triage_ladder_stages",
     "triage_preemptions",
@@ -107,7 +105,6 @@ def results_to_csv(results: Iterable[VerificationResult]) -> str:
                 "fastpath_commute_mask_hits": (
                     qs.fastpath_commute_mask_hits if qs else ""
                 ),
-                "fastpath_fallbacks": qs.fastpath_fallbacks if qs else "",
                 "intern_hit_rate": f"{qs.intern_hit_rate:.4f}" if qs else "",
                 "substitute_hit_rate": (
                     f"{qs.substitute_hit_rate:.4f}" if qs else ""
@@ -131,7 +128,6 @@ def results_to_csv(results: Iterable[VerificationResult]) -> str:
                 "delta_fact_reuse_rate": (
                     f"{qs.delta_fact_reuse_rate:.4f}" if qs else ""
                 ),
-                "delta_replay_served": qs.delta_replay_served if qs else "",
                 "triage_ranker_hits": qs.triage_ranker_hits if qs else "",
                 "triage_ladder_stages": (
                     qs.triage_ladder_stages if qs else ""

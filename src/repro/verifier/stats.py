@@ -101,9 +101,6 @@ class QueryStats:
     fastpath_step_misses: int = 0
     fastpath_commute_mask_hits: int = 0
     fastpath_commute_mask_misses: int = 0
-    #: fast-engine requests that fell back to the pure engine
-    #: (alphabet wider than the fast-path machine word)
-    fastpath_fallbacks: int = 0
     # term-kernel level (repro.logic.terms interning kernel); counters
     # are deltas over the run when a baseline snapshot is supplied to
     # :meth:`collect`, otherwise process-cumulative.  ``reintern_count``
@@ -134,9 +131,8 @@ class QueryStats:
     # delta verification (repro.delta); all zero outside delta runs.
     # The plan counters describe the edit; the reused/missed splits
     # count persistent-store probes for Hoare and commutativity facts
-    # during the delta run; the replay counters cover cross-version
-    # exploration replay.  ``digest_memo_evictions`` is the digest memo
-    # cap pressure over this run (delta of the process counter).
+    # during the delta run.  ``digest_memo_evictions`` is the digest
+    # memo cap pressure over this run (delta of the process counter).
     delta_threads_unchanged: int = 0
     delta_threads_edited: int = 0
     delta_statements_edited: int = 0
@@ -144,9 +140,6 @@ class QueryStats:
     delta_hoare_missed: int = 0
     delta_comm_reused: int = 0
     delta_comm_missed: int = 0
-    delta_replay_served: int = 0
-    delta_replay_gated: int = 0
-    delta_rounds_replayed: int = 0
     digest_memo_evictions: int = 0
     # portfolio triage (repro.verifier.triage); filled in by the
     # portfolio strategies on the winner's stats, zero elsewhere.
@@ -230,6 +223,17 @@ class QueryStats:
             return 0.0
         return reused / asked
 
+    @property
+    def fastpath_fallbacks(self) -> int:
+        """Always 0: the fast engine runs alphabets of any width.
+
+        Not a counter field (it is in no export); a read-only attribute
+        because the perf benchmark's span tracer
+        (``benchmarks/perf/spans.py``) still reads it for its
+        ``fastpath.fallback_calls`` layer metric.
+        """
+        return 0
+
     @classmethod
     def collect(
         cls,
@@ -240,7 +244,6 @@ class QueryStats:
         store=None,
         store_baseline: dict | None = None,
         delta=None,
-        replay=None,
         digest_baseline: dict | None = None,
     ) -> "QueryStats":
         """Snapshot counters from the run's collaborators.
@@ -249,9 +252,8 @@ class QueryStats:
         snapshot taken at the start of the run; the term-kernel fields
         are reported as the delta against it (the kernel counters are
         process-wide, so the diff isolates this run's share).  Without a
-        baseline the cumulative values are reported.  *delta* / *replay*
-        are the run's :class:`~repro.delta.DeltaTracker` and
-        :class:`~repro.delta.ReplaySource` (delta runs only);
+        baseline the cumulative values are reported.  *delta* is the
+        run's :class:`~repro.delta.DeltaTracker` (delta runs only);
         *digest_baseline* is a :func:`repro.store.digest_counters`
         snapshot, diffed the same way as the kernel baseline.
         """
@@ -323,7 +325,6 @@ class QueryStats:
             out.fastpath_commute_mask_misses = getattr(
                 checker, "fastpath_commute_mask_misses", 0
             )
-            out.fastpath_fallbacks = getattr(checker, "fastpath_fallbacks", 0)
         if store is not None:
             counters = store.counters()
             base = store_baseline or {}
@@ -344,13 +345,6 @@ class QueryStats:
             out.delta_hoare_missed = delta.hoare_missed
             out.delta_comm_reused = delta.comm_reused
             out.delta_comm_missed = delta.comm_missed
-        if checker is not None:
-            out.delta_replay_served = getattr(
-                checker, "delta_replay_served", 0
-            )
-        if replay is not None:
-            out.delta_replay_gated = replay.gated_states
-            out.delta_rounds_replayed = replay.rounds_replayed
         if digest_baseline is not None:
             from ..store import digest_counters
 
@@ -429,7 +423,7 @@ class QueryStats:
             f"{self.store_writes} writes, "
             f"{self.store_entries} entries on disk",
         ]
-        if self.fastpath_rounds or self.fastpath_fallbacks:
+        if self.fastpath_rounds:
             lines.append(
                 "fast path:     "
                 f"{self.fastpath_rounds} rounds, "
@@ -438,14 +432,12 @@ class QueryStats:
                 f"steps {self.fastpath_step_hits} hits / "
                 f"{self.fastpath_step_misses} misses, "
                 f"commute masks {self.fastpath_commute_mask_hits} hits / "
-                f"{self.fastpath_commute_mask_misses} misses, "
-                f"{self.fastpath_fallbacks} fallbacks"
+                f"{self.fastpath_commute_mask_misses} misses"
             )
         if (
             self.delta_threads_unchanged
             or self.delta_threads_edited
             or self.delta_hoare_reused
-            or self.delta_replay_served
         ):
             lines.append(
                 "delta:         "
@@ -456,10 +448,7 @@ class QueryStats:
                 f"(hoare {self.delta_hoare_reused}/"
                 f"{self.delta_hoare_reused + self.delta_hoare_missed}, "
                 f"comm {self.delta_comm_reused}/"
-                f"{self.delta_comm_reused + self.delta_comm_missed}); "
-                f"replay {self.delta_replay_served} served, "
-                f"{self.delta_replay_gated} gated, "
-                f"{self.delta_rounds_replayed} rounds"
+                f"{self.delta_comm_reused + self.delta_comm_missed})"
             )
         if (
             self.service_jobs
@@ -522,9 +511,8 @@ class VerificationResult:
     query_stats: QueryStats | None = None
     order_name: str = ""
     mode: str = "combined"
-    #: which exploration engine actually ran ("fast" may fall back to
-    #: "pure" when the alphabet overflows the fast-path machine word)
-    engine: str = "pure"
+    #: which exploration engine ran (``VerifierConfig.engine``)
+    engine: str = "fast"
     failure_reason: str | None = None
     attempts: int = 1
     respawns: int = 0

@@ -1,11 +1,11 @@
-"""Delta verification (repro.delta): diffing, rekeying, replay.
+"""Delta verification (repro.delta): diffing and rekeying.
 
 The delta layer's soundness contract is twofold: (a) an edit to one
 thread must leave every other thread's statement digests — and hence
 all store keys derived from them — bit-identical, so the baseline's
 facts keep hitting; (b) a delta run must reproduce the from-scratch
 run bit-for-bit (verdict, rounds, proof, per-round state counts): the
-served facts and replayed exploration prefixes may only remove work.
+served facts may only remove work.
 Both are checked here, the first as a hypothesis property plus a
 cross-process check, the second as an end-to-end differential.
 """
@@ -31,11 +31,9 @@ from repro.delta import (
     UNCHANGED,
     DeltaTracker,
     EditPlan,
-    ReplaySource,
     diff_programs,
     load_shape,
     program_shape,
-    serialize_replay,
     store_shape,
 )
 from repro.lang import ConcurrentProgram, assign, parse
@@ -80,7 +78,6 @@ def test_editplan_identical_programs():
     plan = diff_programs(p, _counter_program([[1, 2], [3]]))
     assert [t.status for t in plan.threads] == [UNCHANGED, UNCHANGED]
     assert plan.statements_edited == 0
-    assert plan.replay_compatible
     assert "2 unchanged" in plan.summary()
 
 
@@ -94,7 +91,6 @@ def test_editplan_one_statement_edit():
     # the touched uid belongs to the new program's edited statement
     edited_stmt = new.threads[1].edges[1][0][0]
     assert plan.edited_uids == frozenset({edited_stmt.uid})
-    assert plan.replay_compatible
 
 
 def test_editplan_added_removed_restructured():
@@ -102,18 +98,15 @@ def test_editplan_added_removed_restructured():
     grown = _counter_program([[1], [2], [3]])
     plan = diff_programs(base, grown)
     assert plan.threads[2].status == ADDED
-    assert not plan.replay_compatible
 
     plan = diff_programs(grown, base)
     assert plan.threads[2].status == REMOVED
-    assert not plan.replay_compatible
 
     longer = _counter_program([[1, 9], [2]])
     plan = diff_programs(base, longer)
     assert plan.threads[0].status == RESTRUCTURED
     # every statement of a restructured thread counts as touched
     assert plan.statements_edited == 2
-    assert not plan.replay_compatible
 
 
 def test_editplan_spec_change():
@@ -125,7 +118,6 @@ def test_editplan_spec_change():
     )
     plan = diff_programs(base, stronger)
     assert plan.spec_changed
-    assert not plan.replay_compatible
     assert "spec changed" in plan.summary()
 
 
@@ -261,83 +253,6 @@ def test_delta_tracker_attribution():
     assert tracker.comm_missed == 1
     assert tracker.touched_probes == 2
     assert tracker.fact_reuse_rate == pytest.approx(1 / 3)
-
-
-# ------------------------------------------------------------- replay codec
-
-
-class _FakeFh:
-    def __init__(self, predicates=()):
-        self.predicates = tuple(predicates)
-
-
-def test_replay_payload_round_trip():
-    p = _counter_program([[1], [2]])
-    a = p.threads[0].edges[0][0][0]
-    b = p.threads[1].edges[0][0][0]
-    state = ((0, 0), frozenset({0}), frozenset(), None)
-    edges = ((a, (1, 0), frozenset({a}), ("k", 1)),)
-    payload = serialize_replay([{state: edges}], [0], [])
-    # the payload must survive a JSON round trip (it rides in the store)
-    payload = json.loads(json.dumps(payload))
-    plan = diff_programs(p, p)
-    source = ReplaySource(payload, plan, p, "sleep")
-    assert source.ok
-    warm = source.map_for_round(0, _FakeFh())
-    assert warm == {
-        ((0, 0), frozenset({0}), frozenset(), None): (
-            (a, (1, 0), frozenset({a}), ("k", 1)),
-        ),
-    }
-    assert source.rounds_replayed == 1
-    assert b not in warm  # untouched entries only contain thread-0 letters
-
-
-def test_replay_gates_on_edited_statement():
-    old = _counter_program([[1], [2]])
-    new = _counter_program([[1], [3]])
-    a_old = old.threads[0].edges[0][0][0]
-    state = ((0, 0), frozenset(), frozenset(), None)
-    edges = ((a_old, (1, 0), frozenset(), None),)
-    payload = serialize_replay([{state: edges}], [0], [])
-    plan = diff_programs(old, new)
-    source = ReplaySource(payload, plan, new, "sleep")
-    assert source.ok
-    # thread 1's edited statement is enabled at location 0, so the
-    # recorded reduction decision at (0, 0) cannot be trusted
-    assert source.map_for_round(0, _FakeFh()) is None
-    assert source.gated_states == 1
-
-
-def test_replay_dies_on_vocabulary_mismatch():
-    p = _counter_program([[1], [2]])
-    a = p.threads[0].edges[0][0][0]
-    state = ((0, 1), frozenset(), frozenset(), None)
-    edges = ((a, (1, 1), frozenset(), None),)
-    pred = le(var("x0"), intc(1))
-    payload = serialize_replay([{state: edges}], [1], [pred])
-    plan = diff_programs(p, p)
-    source = ReplaySource(payload, plan, p, "sleep")
-    other = le(var("x0"), intc(2))
-    assert source.map_for_round(0, _FakeFh([other])) is None
-    # permanently dead, even for a later matching round
-    assert source.map_for_round(0, _FakeFh([pred])) is None
-
-
-def test_replay_codec_rejects_exotic_context():
-    p = _counter_program([[1]])
-    state = ((0,), frozenset(), frozenset(), object())
-    assert serialize_replay([{state: ()}], [0], []) is None
-
-
-def test_replay_respects_log_limit(monkeypatch):
-    from repro.delta import replay as replay_mod
-
-    monkeypatch.setattr(replay_mod, "REPLAY_LOG_LIMIT", 1)
-    p = _counter_program([[1]])
-    s1 = ((0,), frozenset(), frozenset(), None)
-    s2 = ((1,), frozenset(), frozenset(), None)
-    assert serialize_replay([{s1: (), s2: ()}], [0], []) is None
 
 
 # ------------------------------------------------- end-to-end differential

@@ -4,29 +4,23 @@ The fast engine's contract is *bit-identical exploration*: for any
 program and configuration, verdicts, round counts, per-round state
 counts, proof sizes, and counterexample traces must equal the pure
 engine's.  The suite checks that contract on random small programs
-(hypothesis), the encoder's bitmask bijection, the alphabet-overflow
-fallback (warn + pure, never wrong), and the config/env plumbing.
+(hypothesis), the encoder's bitmask bijection, alphabets wider than 64
+letters (where packed memo keys need a wider letter field), and the
+config plumbing.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_program, straight_line_thread
+from repro.benchmarks import svcomp
 from repro.core import ThreadUniformOrder
-from repro.fastpath import WORD_BITS, AlphabetOverflow, ProgramEncoder
+from repro.fastpath import ProgramEncoder
 from repro.lang import ConcurrentProgram, assign, assume
 from repro.logic import TRUE, add, eq, ge, gt, intc, le, sub, var
-from repro.verifier import (
-    ProofChecker,
-    VerifierConfig,
-    default_engine,
-    verify,
-)
-from repro.verifier.refinement import ENGINE_CHOICES
+from repro.verifier import ProofChecker, VerifierConfig, verify
 
 x, y = var("x"), var("y")
 
@@ -150,7 +144,6 @@ def test_fast_engine_counters_surface():
     pure, fast = _both_engines(program)
     assert fast.query_stats.fastpath_rounds >= 1
     assert fast.query_stats.fastpath_edge_misses >= 1
-    assert fast.query_stats.fastpath_fallbacks == 0
     assert "fast path:" in fast.query_stats.summary()
     # the pure engine's stats stay byte-identical: no fast-path line
     assert pure.query_stats.fastpath_rounds == 0
@@ -204,11 +197,11 @@ def test_encoder_interning_is_bijective():
     assert enc.ctx_of(enc.ctx_id(ctx)) == ctx
 
 
-# -- alphabet overflow: warn and fall back, never wrong -------------------------
+# -- wide alphabets: more letters than the 6-bit packed-key field ------------
 
 
-def _wide_program(letters_per_thread: int = (WORD_BITS // 2) + 1):
-    """A 2-thread program with more than WORD_BITS statements total."""
+def _wide_program(letters_per_thread: int = 33):
+    """A 2-thread program with more than 64 statements total."""
     return make_program(
         [
             straight_line_thread(
@@ -222,42 +215,46 @@ def _wide_program(letters_per_thread: int = (WORD_BITS // 2) + 1):
     )
 
 
-def test_alphabet_overflow_raises_at_encoder():
-    program = _wide_program()
-    with pytest.raises(AlphabetOverflow) as exc_info:
-        ProgramEncoder(program, ThreadUniformOrder())
-    assert exc_info.value.size == len(program.alphabet())
-    assert exc_info.value.size > WORD_BITS
+def test_encoder_letter_bits_cover_the_alphabet():
+    narrow = ProgramEncoder(_wide_program(2), ThreadUniformOrder())
+    assert narrow.letter_bits == 6  # <= 64 letters pack as (φ << 6) | a
+    wide = ProgramEncoder(_wide_program(), ThreadUniformOrder())
+    assert len(wide.letters) > 64
+    assert len(wide.letters) <= 1 << wide.letter_bits
 
 
-def test_alphabet_overflow_falls_back_to_pure_with_warning():
+def test_wide_alphabet_fast_matches_pure():
     program = _wide_program()
-    with pytest.warns(RuntimeWarning, match="falling back to the pure engine"):
-        fast = verify(program, config=VerifierConfig(engine="fast"))
-    assert fast.engine == "pure"  # what actually ran
-    assert fast.query_stats.fastpath_fallbacks == 1
-    assert fast.query_stats.fastpath_rounds == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the pure engine never warns
-        pure = verify(program, config=VerifierConfig(engine="pure"))
+    assert len(program.alphabet()) > 64
+    pure, fast = _both_engines(program)
+    assert fast.query_stats.fastpath_rounds >= 1
     assert _fingerprint(fast) == _fingerprint(pure)
 
 
-# -- config / env plumbing ------------------------------------------------------
+def test_wide_alphabet_memo_keys_do_not_alias():
+    """reorder(31)-bug has 65 letters, so letter 64 exists.
+
+    With the memo-key shift pinned at 6 bits, ``(φ, 64)`` and
+    ``(φ + 1, 0)`` share a key and the fast engine answers UNKNOWN in
+    round 2 where the pure engine finds the bug.
+    """
+    program = svcomp.reorder(31, correct=False)
+    assert len(program.alphabet()) == 65
+    pure, fast = _both_engines(program)
+    assert pure.verdict.value == "incorrect"
+    assert _fingerprint(fast) == _fingerprint(pure)
 
 
-def test_default_engine_env(monkeypatch):
+# -- config plumbing -------------------------------------------------------------
+
+
+def test_engine_default_ignores_environment(monkeypatch):
+    """The fast engine is the constant default; no environment knob."""
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert default_engine() == "fast"
     assert VerifierConfig().engine == "fast"
     monkeypatch.setenv("REPRO_ENGINE", "pure")
-    assert default_engine() == "pure"
-    assert VerifierConfig().engine == "pure"
-    monkeypatch.setenv("REPRO_ENGINE", " PURE ")  # normalized
-    assert default_engine() == "pure"
-    monkeypatch.setenv("REPRO_ENGINE", "warp")  # unrecognized -> fast
-    assert default_engine() == "fast"
-    assert "pure" in ENGINE_CHOICES and "fast" in ENGINE_CHOICES
+    assert VerifierConfig().engine == "fast"
+    assert verify(_wide_program(2)).engine == "fast"
 
 
 def test_unknown_engine_rejected():

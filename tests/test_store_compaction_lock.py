@@ -12,6 +12,7 @@ the test (and from a child process) while compaction runs.
 from __future__ import annotations
 
 import fcntl
+import json
 import logging
 import multiprocessing
 import os
@@ -19,7 +20,12 @@ import os
 import pytest
 
 from repro.store import KIND_SAT, ProofStore, reset_store_registry
-from repro.store.store import COMPACT_LOCK_NAME, SEGMENT_PREFIX
+from repro.store.store import (
+    COMPACT_LOCK_NAME,
+    SEGMENT_PREFIX,
+    SEGMENT_SUFFIX,
+    _frame,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -129,6 +135,24 @@ def test_concurrent_compactors_never_lose_records(tmp_path):
     reset_store_registry()
     merged = ProofStore(tmp_path / "s")
     for i in range(10):
+        assert merged.get(KIND_SAT, bytes([i]) * 16) is True
+
+
+def test_compaction_keeps_records_it_never_loaded(tmp_path):
+    # a segment published after this instance loaded (by a flush or a
+    # compaction elsewhere) must survive its compaction: the merge is
+    # re-read from disk under the lock, not rebuilt from memory
+    path = tmp_path / "s"
+    stale = populate(path, n=3)
+    late = {"k": KIND_SAT, "key": (b"\x63" * 16).hex(), "v": True}
+    (path / f"{SEGMENT_PREFIX}zz-late{SEGMENT_SUFFIX}").write_text(
+        _frame(json.dumps(late))
+    )
+    stale.compact()
+    reset_store_registry()
+    merged = ProofStore(path)
+    assert merged.get(KIND_SAT, b"\x63" * 16) is True
+    for i in range(3):
         assert merged.get(KIND_SAT, bytes([i]) * 16) is True
 
 

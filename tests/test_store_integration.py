@@ -7,6 +7,7 @@ work from disk.  And the store must agree with ``run_cached`` on what
 is memoizable: definite verdicts only, never budget-dependent UNKNOWNs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from repro.core.preference import ThreadUniformOrder
 from repro.lang import assign
 from repro.logic import Solver, SolverUnknown, add, eq, intc, le, var
 from repro.store import (
+    FORMAT_VERSION,
     KIND_COMM,
     KIND_HOARE,
     KIND_SAT,
@@ -27,9 +29,9 @@ from repro.store import (
     open_store,
     reset_store_registry,
 )
+from repro.store.store import MANIFEST_NAME, _frame
 from repro.verifier import VerifierConfig, Verdict, verify, verify_portfolio
 from repro.verifier.hoare import FloydHoareAutomaton
-from repro.verifier.refinement import load_exploration
 
 
 @pytest.fixture(autouse=True)
@@ -211,46 +213,36 @@ def test_conditional_commutativity_served_from_store(tmp_path):
     assert warm_store.stats.hits >= 1
 
 
-def test_exploration_log_round_trip(tmp_path):
-    config = VerifierConfig(store_path=str(tmp_path / "s"), time_budget=60)
+def test_old_format_store_with_explore_record_opens_cold(tmp_path, caplog):
+    """A store written before the ``explore`` kind was dropped.
+
+    Format 1 stores may hold ``explore`` records, a kind this loader no
+    longer knows.  The format bump routes them through the version-skew
+    cold start: one warning, no records read, the same verdict.
+    """
+    assert FORMAT_VERSION == 2
+    path = tmp_path / "s"
+    path.mkdir()
+    (path / MANIFEST_NAME).write_text(
+        json.dumps({"format": 1, "max_records": 500_000}) + "\n"
+    )
+    record = {
+        "k": "explore",
+        "key": "ab" * 16,
+        "v": {"verdict": "correct", "rounds": 1, "exploration": {}},
+    }
+    (path / "segment-0001.log").write_text(_frame(json.dumps(record)))
     bench = _bench("mutex-atomic(2)")
-    result = _run(bench, config)
-    assert result.verdict == Verdict.CORRECT
-    reset_store_registry()
-    store = open_store(tmp_path / "s")
-    loaded = load_exploration(store, bench.build(), "seq", config)
-    assert loaded is not None
-    record, predicates = loaded
-    assert record["verdict"] == "correct"
-    assert record["rounds"] == result.rounds
-    assert record["proof_size"] == result.proof_size
-    assert len(record["states_per_round"]) == result.rounds
-    assert record["exploration"]["states_explored"] > 0
-    # predicates re-intern to the exact nodes of the original proof
-    assert sorted(repr(p) for p in predicates) == sorted(
-        repr(p) for p in result.predicates
-    )
-    for p in predicates:
-        assert p in set(result.predicates)  # identity, via interning
-    # a different configuration has no record
-    other = VerifierConfig(
-        store_path=str(tmp_path / "s"), time_budget=60, search="dfs"
-    )
-    assert load_exploration(store, bench.build(), "seq", other) is None
-
-
-def test_exploration_not_recorded_for_unsolved(tmp_path):
-    config = VerifierConfig(
-        store_path=str(tmp_path / "s"), max_rounds=1, time_budget=60
-    )
-    bench = _bench("bluetooth(2)")  # needs > 1 round: verdict TIMEOUT
-    result = _run(bench, config)
-    assert not result.verdict.solved
-    reset_store_registry()
-    store = open_store(tmp_path / "s")
-    assert load_exploration(store, bench.build(), "seq", config) is None
-    # ... but the definite sub-verdicts derived along the way persisted
-    assert store.counters()["store_entries"] > 0
+    plain = _run(bench, VerifierConfig(time_budget=60))
+    with caplog.at_level("WARNING", logger="repro.store"):
+        old = _run(bench, VerifierConfig(store_path=str(path), time_budget=60))
+    warnings = [r for r in caplog.records if r.name == "repro.store"]
+    assert len(warnings) == 1
+    assert "format version 1" in warnings[0].getMessage()
+    assert _fingerprint(old) == _fingerprint(plain)
+    assert old.query_stats.store_hits == 0
+    assert old.query_stats.store_writes == 0  # foreign data untouched
+    assert json.loads((path / MANIFEST_NAME).read_text())["format"] == 1
 
 
 def test_portfolio_with_store(tmp_path):
