@@ -31,7 +31,8 @@ class BranchBudgetExceeded(Exception):
 
 
 #: constraint-level, not term-level, but registered with the kernel so
-#: one compaction hook bounds every process-wide memo in the logic stack
+#: one compaction hook bounds both constraint memos of this module (the
+#: solver's nid-keyed literal memos are size-capped instead)
 _tighten_cache: dict[LinearConstraint, LinearConstraint] = register_kernel_cache({})
 
 
@@ -74,6 +75,20 @@ def _dedup(constraints: Iterable[LinearConstraint]) -> list[LinearConstraint] | 
         seen.add(c)
         out.append(c)
     return out
+
+
+def canonical(
+    constraints: Iterable[LinearConstraint],
+) -> frozenset[LinearConstraint] | None:
+    """The canonical set of a conjunction, or ``None`` if trivially false.
+
+    Canonical means tightened, with trivially-true constraints dropped:
+    the form :func:`rationally_feasible` takes.  The union of two
+    canonical sets is the canonical set of the joined conjunction, so
+    the solver builds each branch's set from per-literal pieces.
+    """
+    cons = _dedup(constraints)
+    return None if cons is None else frozenset(cons)
 
 
 def fm_project(
@@ -156,37 +171,37 @@ def rational_model(
     ``None`` therefore soundly implies integer infeasibility, which is
     the only way the solver consumes this function.
     """
-    cons = _dedup(constraints)
-    if cons is None:
+    key = canonical(constraints)
+    if key is None:
         return None
-    return _rational_model_deduped(cons)
+    model = _model_of(key)
+    return None if model is None else dict(model)
 
 
 _MISS = object()
+#: the one constraint-set memo: canonical set -> rational model, or
+#: ``None`` when the set is infeasible
 _model_cache: dict[
-    tuple[LinearConstraint, ...], dict[str, Fraction] | None
-] = {}
+    frozenset[LinearConstraint], dict[str, Fraction] | None
+] = register_kernel_cache({})
 
 
-def _rational_model_deduped(
-    cons: list[LinearConstraint],
-) -> dict[str, Fraction] | None:
-    """:func:`rational_model` on an already-tightened, deduplicated set.
+def _model_of(key: frozenset[LinearConstraint]) -> dict[str, Fraction] | None:
+    """The memoized elimination result for a canonical set (shared:
+    callers must not mutate it).
 
-    Memoized on the *canonical* (hash-sorted) constraint tuple: the
-    elimination result depends only on the constraint set, not its
-    order — every bound is a min/max over the set and values are exact
-    ``Fraction``s — and the same set recurs heavily across DPLL
-    branches gathered in different orders.
+    Keyed on the set, not on any order of it: elimination depends only
+    on the set — variables go in sorted order, every projection
+    deduplicates, every bound is a min/max over the set and values are
+    exact ``Fraction``s — so the same set reached by DPLL branches that
+    gathered it in different orders is one entry.
     """
-    key = tuple(sorted(cons, key=hash))
     cached = _model_cache.get(key, _MISS)
-    if cached is not _MISS:
-        return None if cached is None else dict(cached)
-    env = _eliminate(cons)
-    if len(_model_cache) < 500_000:
-        _model_cache[key] = env
-    return None if env is None else dict(env)
+    if cached is _MISS:
+        cached = _eliminate(list(key))
+        if len(_model_cache) < 500_000:
+            _model_cache[key] = cached
+    return cached
 
 
 def _eliminate(
@@ -226,43 +241,42 @@ def _pick_value(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return (lo + hi) / 2
 
 
-_feasible_cache: dict[tuple[LinearConstraint, ...], bool] = {}
+def rationally_feasible(key: frozenset[LinearConstraint]) -> bool:
+    """Memoized rational feasibility of a :func:`canonical` set (the
+    DPLL pruning check).
 
-
-def rationally_feasible(constraints: Sequence[LinearConstraint]) -> bool:
-    """Memoized rational feasibility (the DPLL pruning check).
-
-    Rational infeasibility soundly implies integer infeasibility.  The
-    cache is keyed directly on the (order-sensitive) constraint tuple so
-    the hot path is a single hash lookup; constraint tuples recur
-    heavily across DPLL branches.
+    Rational infeasibility soundly implies integer infeasibility.
     """
-    key = tuple(constraints)
-    hit = _feasible_cache.get(key)
-    if hit is None:
-        cons = _dedup(key)
-        hit = cons is not None and _rational_model_deduped(cons) is not None
-        if len(_feasible_cache) < 500_000:
-            _feasible_cache[key] = hit
-    return hit
+    return _model_of(key) is not None
 
 
 def integer_model(
-    constraints: Sequence[LinearConstraint], *, budget: int = 400
+    constraints: Iterable[LinearConstraint], *, budget: int = 400
 ) -> dict[str, int] | None:
     """An integer model of the conjunction, or ``None`` if infeasible.
 
-    Uses branch-and-bound over :func:`rational_model`.  Raises
-    :class:`BranchBudgetExceeded` if the node budget runs out before a
-    verdict (callers treat this as "unknown").
+    Raises :class:`BranchBudgetExceeded` if the node budget runs out
+    before a verdict (callers treat this as "unknown").
     """
-    state = {"nodes": 0}
+    key = canonical(constraints)
+    if key is None:
+        return None
+    return integer_model_of(key, budget=budget)
 
-    def search(cons: list[LinearConstraint]) -> dict[str, int] | None:
-        state["nodes"] += 1
-        if state["nodes"] > budget:
+
+def integer_model_of(
+    key: frozenset[LinearConstraint], *, budget: int = 400
+) -> dict[str, int] | None:
+    """:func:`integer_model` of a :func:`canonical` set (the DPLL leaf
+    check): branch-and-bound over the memoized rational models."""
+    nodes = 0
+
+    def search(key: frozenset[LinearConstraint]) -> dict[str, int] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise BranchBudgetExceeded()
-        model = rational_model(cons)
+        model = _model_of(key)
         if model is None:
             return None
         fractional = [(v, q) for v, q in model.items() if q.denominator != 1]
@@ -271,15 +285,10 @@ def integer_model(
         v, q = fractional[0]
         floor_q, ceil_q = math.floor(q), math.ceil(q)
         # x <= floor(q):   x - floor(q) <= 0
-        below = cons + [LinearConstraint(LinExpr.of({v: 1}, -floor_q))]
-        hit = search(below)
+        hit = search(key | {LinearConstraint(LinExpr.of({v: 1}, -floor_q))})
         if hit is not None:
             return hit
         # x >= ceil(q):   -x + ceil(q) <= 0
-        above = cons + [LinearConstraint(LinExpr.of({v: -1}, ceil_q))]
-        return search(above)
+        return search(key | {LinearConstraint(LinExpr.of({v: -1}, ceil_q))})
 
-    deduped = _dedup(constraints)
-    if deduped is None:
-        return None
-    return search(deduped)
+    return search(key)

@@ -22,7 +22,12 @@ import time
 from dataclasses import dataclass, fields
 
 from .atoms import LinearConstraint, atom_constraints
-from .fourier import BranchBudgetExceeded, integer_model, rationally_feasible
+from .fourier import (
+    BranchBudgetExceeded,
+    canonical,
+    integer_model_of,
+    rationally_feasible,
+)
 from .terms import register_kernel_cache
 from .terms import (
     And,
@@ -255,6 +260,25 @@ def _branches(literal: Term) -> tuple[tuple[LinearConstraint, ...], ...]:
     return result
 
 
+#: keyed by ``literal.nid`` like :data:`_branches_cache`: the
+#: :func:`~repro.logic.fourier.canonical` set of each alternative, or
+#: ``None`` for an alternative holding a trivially false constraint
+_theory_cache: dict[int, tuple[frozenset[LinearConstraint] | None, ...]] = {}
+
+
+def _theory_branches(literal: Term) -> tuple[frozenset[LinearConstraint] | None, ...]:
+    """:func:`_branches` with each alternative tightened once (memoized)."""
+    cached = _theory_cache.get(literal.nid)
+    if cached is None:
+        cached = tuple(canonical(branch) for branch in _branches(literal))
+        if len(_theory_cache) < 200_000:
+            _theory_cache[literal.nid] = cached
+    return cached
+
+
+_NO_CONSTRAINTS: frozenset[LinearConstraint] = frozenset()
+
+
 def _is_literal(f: Term) -> bool:
     return isinstance(f, (Le, Eq)) or (isinstance(f, Not) and isinstance(f.arg, (Le, Eq)))
 
@@ -467,7 +491,7 @@ class Solver:
         self._nodes_this_query = 0
         started = time.perf_counter()
         try:
-            model = self._search([nnf], ())
+            model = self._search([nnf], _NO_CONSTRAINTS, _NO_CONSTRAINTS)
         except (BranchBudgetExceeded, SolverUnknown) as exc:
             self.stats.unknowns += 1
             if self._enable_cache and len(self._unknown_cache) < self._cache_size:
@@ -493,20 +517,34 @@ class Solver:
     # -- search -------------------------------------------------------------
 
     def _search(
-        self, pending: list[Term], constraints: tuple[LinearConstraint, ...]
+        self,
+        pending: list[Term],
+        key: frozenset[LinearConstraint],
+        branch: frozenset[LinearConstraint] | None,
     ) -> dict[str, int] | None:
+        """One search node.
+
+        *key* is the parent's canonical constraint set, which the parent
+        proved rationally feasible (the root's is empty); *branch* holds
+        the constraints of the disequality side this node takes, ``None``
+        if that side is trivially false.  The node adds only what its
+        own literals contribute, and probes feasibility only if that
+        grew the set.  Every node costs one unit of the node budget,
+        a trivially false disequality side included.
+        """
         self._nodes_this_query += 1
         if self._nodes_this_query > self._node_budget:
             raise SolverUnknown("per-query node budget exceeded")
         if self._deadline is not None and self._nodes_this_query % 512 == 0:
             if time.perf_counter() > self._deadline:
                 raise SolverUnknown("solver deadline exceeded")
+        if branch is None:
+            return None
         # Process conjuncts and literals first, delaying disjunctive splits.
-        pending = list(pending)
+        parts = [branch] if branch else []
         ors: list[Term] = []
-        work = list(pending)
-        gathered = list(constraints)
         alternatives: list[Term] = []
+        work = list(pending)
         while work:
             f = work.pop()
             if isinstance(f, BoolConst):
@@ -517,33 +555,38 @@ class Solver:
             elif isinstance(f, Or):
                 ors.append(f)
             elif _is_literal(f):
-                branches = list(_branches(f))
+                branches = _theory_branches(f)
                 if len(branches) == 1:
-                    gathered.extend(branches[0])
+                    if branches[0] is None:
+                        return None
+                    parts.append(branches[0])
                 else:
                     alternatives.append(f)  # disequality: split later
             else:
                 raise TypeError(f"unexpected node in NNF search: {f!r}")
-        # Feasibility pruning before splitting.
-        if ors or alternatives:
-            if not rationally_feasible(gathered):
+        grown = key.union(*parts) if parts else key
+        if len(grown) > len(key):
+            # Feasibility pruning before splitting; an unchanged set is
+            # the one the parent already proved feasible.
+            if (ors or alternatives) and not rationally_feasible(grown):
                 return None
+            key = grown
         if alternatives:
             f = alternatives.pop()
             rest = ors + alternatives
-            for branch in _branches(f):
-                hit = self._search(rest, tuple(gathered) + branch)
+            for side in _theory_branches(f):
+                hit = self._search(rest, key, side)
                 if hit is not None:
                     return hit
             return None
         if ors:
             f = ors.pop()
             for arg in f.args:
-                hit = self._search(ors + [arg], tuple(gathered))
+                hit = self._search(ors + [arg], key, _NO_CONSTRAINTS)
                 if hit is not None:
                     return hit
             return None
-        return integer_model(gathered, budget=self._branch_budget)
+        return integer_model_of(key, budget=self._branch_budget)
 
 
 _default_solver = Solver()

@@ -18,8 +18,6 @@ from .digest import (
     program_digest,
     statement_digest,
     term_digest,
-    term_from_obj,
-    term_to_obj,
 )
 from .store import (
     DEFAULT_MAX_RECORDS,
@@ -43,8 +41,6 @@ __all__ = [
     "program_digest",
     "statement_digest",
     "term_digest",
-    "term_from_obj",
-    "term_to_obj",
     "DEFAULT_MAX_RECORDS",
     "FORMAT_VERSION",
     "KIND_COMM",

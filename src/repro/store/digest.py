@@ -15,11 +15,6 @@ updates, choices); programs over their thread CFAs and spec.  Both
 bottom out in term digests, so a one-token edit to a program changes
 exactly the digests downstream of the edit — the store's entries for
 the unchanged parts keep hitting ("delta verification").
-
-``term_to_obj``/``term_from_obj`` give a JSON-able canonical
-serialization; deserialization rebuilds through the kernel's
-``_reintern`` hook, so loaded terms land in the receiving process's
-intern table exactly like unpickled ones.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from ..logic.terms import (
     Store,
     Term,
     Var,
-    _reintern,
 )
 
 #: digest width in bytes; 128 bits keep accidental collisions out of
@@ -223,61 +217,6 @@ def program_digest(program: ConcurrentProgram) -> bytes:
 def pair_digest(*digests: bytes) -> bytes:
     """Combine component digests into one composite key."""
     return _blake(b"pair", *digests)
-
-
-# ---------------------------------------------------------------------------
-# Canonical JSON-able serialization (re-interns through ``_reintern``)
-# ---------------------------------------------------------------------------
-
-def term_to_obj(term: Term):
-    """Encode *term* as JSON-able nested lists ``[tag, ...fields]``.
-
-    The encoding mirrors ``Term.__reduce__`` exactly, so
-    :func:`term_from_obj` can hand the fields straight to the kernel's
-    ``_reintern`` hook.
-    """
-    reduced = term.__reduce__()[1]
-    tag = reduced[0]
-    fields = []
-    for field in reduced[1:]:
-        if isinstance(field, Term):
-            fields.append(term_to_obj(field))
-        elif isinstance(field, tuple):
-            fields.append([term_to_obj(t) for t in field])
-        else:
-            fields.append(field)  # int | bool | str leaf payloads
-    return [tag, *fields]
-
-
-_TUPLE_FIELD_TAGS = frozenset({3, 29, 31})  # Add, And, Or take arg tuples
-
-
-def term_from_obj(obj) -> Term:
-    """Decode :func:`term_to_obj` output through the ``_reintern`` hook.
-
-    Raises ``ValueError``/``TypeError``/``KeyError`` on malformed input;
-    the store treats any of those as a corrupt record.
-    """
-    if not isinstance(obj, list) or not obj:
-        raise ValueError(f"malformed term encoding: {obj!r}")
-    tag, *fields = obj
-    decoded = []
-    for field in fields:
-        if isinstance(field, list):
-            if tag in _TUPLE_FIELD_TAGS:
-                decoded.append(tuple(term_from_obj(t) for t in field))
-            else:
-                decoded.append(term_from_obj(field))
-        else:
-            decoded.append(field)
-    try:
-        node = _reintern(tag, *decoded)
-    except (AttributeError, IndexError) as exc:
-        # a wrong-typed field reached a node constructor: corrupt record
-        raise ValueError(f"malformed term encoding: {obj!r}") from exc
-    if not isinstance(node, Term):
-        raise ValueError(f"malformed term encoding: {obj!r}")
-    return node
 
 
 def digest_counters() -> dict[str, int]:

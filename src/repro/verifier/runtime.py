@@ -391,8 +391,60 @@ def run_parallel_portfolio(
         else:
             member.final = result
 
+    def died(member: _Member) -> VerificationResult:
+        """The ERROR for a worker that exited without a final message."""
+        member.proc.join(timeout=1.0)
+        return synthesize(
+            Verdict.ERROR,
+            member,
+            f"worker died (exit code {member.proc.exitcode}, "
+            f"attempt {member.attempt})",
+        )
+
+    def drain(member: _Member) -> None:
+        """Read the member's queued messages until its attempt ends or
+        the pipe holds no more; a pipe closed without a final message is
+        a hard death."""
+        conn = member.conn
+        while True:
+            try:
+                kind, payload = conn.recv()
+            except (EOFError, OSError):
+                finish_attempt(member, died(member))
+                return
+            if kind == "hb":
+                # progress heartbeat: record and keep draining — the
+                # result may already be queued behind it
+                member.progress = payload
+                if not conn.poll():
+                    return
+                continue
+            if kind == "result":
+                finish_attempt(member, payload)
+            else:  # "crash"
+                finish_attempt(
+                    member,
+                    synthesize(
+                        Verdict.ERROR,
+                        member,
+                        f"worker crashed: {payload} "
+                        f"(attempt {member.attempt})",
+                    ),
+                )
+            return
+
     def cancel(member: _Member, winner_name: str) -> None:
         nonlocal preempt_count, budget_saved
+        if member.running and not member.proc.is_alive():
+            # the worker exited on its own before the win was seen: that
+            # is its outcome (a crash, or a message still queued), not a
+            # preemption
+            if member.conn.poll():
+                drain(member)
+            if member.running:
+                finish_attempt(member, died(member))
+            if member.final is not None:
+                return
         now = time.perf_counter()
         was_running = member.running
         # triage observability: cancelling a live (or parked) member
@@ -496,46 +548,7 @@ def run_parallel_portfolio(
 
             by_conn = {m.conn: m for m in members if m.running}
             for conn in ready:
-                member = by_conn[conn]
-                finished_member = False
-                while not finished_member:
-                    try:
-                        kind, payload = conn.recv()
-                    except (EOFError, OSError):
-                        # pipe closed without a message: the worker died
-                        # hard
-                        member.proc.join(timeout=1.0)
-                        exitcode = member.proc.exitcode
-                        finish_attempt(
-                            member,
-                            synthesize(
-                                Verdict.ERROR,
-                                member,
-                                f"worker died (exit code {exitcode}, "
-                                f"attempt {member.attempt})",
-                            ),
-                        )
-                        break
-                    if kind == "hb":
-                        # progress heartbeat: record and keep draining —
-                        # the result may already be queued behind it
-                        member.progress = payload
-                        if not conn.poll():
-                            break
-                        continue
-                    finished_member = True
-                    if kind == "result":
-                        finish_attempt(member, payload)
-                    else:  # "crash"
-                        finish_attempt(
-                            member,
-                            synthesize(
-                                Verdict.ERROR,
-                                member,
-                                f"worker crashed: {payload} "
-                                f"(attempt {member.attempt})",
-                            ),
-                        )
+                drain(by_conn[conn])
 
             now = time.perf_counter()
             for member in members:
@@ -569,16 +582,7 @@ def run_parallel_portfolio(
                         ),
                     )
                 elif not member.proc.is_alive() and not member.conn.poll():
-                    exitcode = member.proc.exitcode
-                    finish_attempt(
-                        member,
-                        synthesize(
-                            Verdict.ERROR,
-                            member,
-                            f"worker died (exit code {exitcode}, "
-                            f"attempt {member.attempt})",
-                        ),
-                    )
+                    finish_attempt(member, died(member))
 
             # progress-based preemption: a running member far behind the
             # round leader is parked (deferred) before its watchdog

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.logic.atoms import LinExpr, LinearConstraint
 from repro.logic.fourier import (
     BranchBudgetExceeded,
+    _dedup,
+    _eliminate,
+    canonical,
     fm_project,
     integer_model,
     rational_model,
@@ -85,9 +88,23 @@ class TestRationalModel:
         assert all(c.holds(model) for c in cons)
 
     def test_feasibility_cache_consistent(self):
-        cons = (le0({"x": 1}, 0), le0({"x": -1}, 1))
-        assert not rationally_feasible(cons)
-        assert not rationally_feasible(cons)  # cached path
+        key = canonical((le0({"x": 1}, 0), le0({"x": -1}, 1)))
+        assert not rationally_feasible(key)
+        assert not rationally_feasible(key)  # cached path
+
+
+class TestCanonical:
+    def test_tightens_and_drops_trivially_true(self):
+        key = canonical([le0({"x": 2}, 1), le0({}, -3), le0({"x": 1}, 1)])
+        assert key == frozenset({le0({"x": 1}, 1)})
+
+    def test_trivially_false_is_none(self):
+        assert canonical([le0({"x": 1}, 0), le0({}, 1)]) is None
+
+    def test_union_is_canonical_of_join(self):
+        a = [le0({"x": 2, "y": 4}, 3), le0({"y": -1}, 0)]
+        b = [le0({"x": 1, "y": 2}, 2), le0({}, 0)]
+        assert canonical(a) | canonical(b) == canonical(a + b)
 
 
 class TestIntegerModel:
@@ -148,3 +165,39 @@ def test_projection_preserves_satisfiability(rows):
             if all(c.holds(env) for c in cons):
                 assert projected is not None
                 assert all(c.holds(env) for c in projected)
+
+
+_rows = st.lists(
+    st.tuples(
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+        st.integers(-6, 6),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows, st.data())
+def test_set_keyed_memo_ignores_order_and_duplicates(rows, data):
+    """Every permutation and duplication of a constraint list reaches
+    the same memo entry, and the memo agrees with an uncached
+    elimination in that list's own order."""
+    cons = [le0({"x": a, "y": b, "z": c}, k) for a, b, c, k in rows]
+    extra = data.draw(st.lists(st.sampled_from(cons), max_size=3))
+    variant = data.draw(st.permutations(cons + extra))
+    key = canonical(cons)
+    assert canonical(variant) == key
+    model = rational_model(cons)
+    assert rational_model(variant) == model
+    deduped = _dedup(variant)
+    assert model == (None if deduped is None else _eliminate(deduped))
+    if key is not None:
+        assert rationally_feasible(key) == (model is not None)
+    outcomes = []
+    for order in (cons, variant):
+        try:
+            outcomes.append(integer_model(order, budget=20))
+        except BranchBudgetExceeded:
+            outcomes.append("budget")
+    assert outcomes[0] == outcomes[1]

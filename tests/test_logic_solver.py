@@ -27,6 +27,7 @@ from repro.logic import (
     sub,
     var,
 )
+from repro.logic.solver import SolverUnknown
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -160,6 +161,20 @@ class TestCaching:
         decisions = solver.stats.decisions
         assert solver.model(f) is None
         assert solver.stats.decisions == decisions
+
+    def test_trivially_false_disequality_side_costs_one_node(self):
+        # x + 1 != x splits into x + 1 < x (the constant 2 <= 0: false)
+        # and x + 1 > x (true): root, false side, true side
+        f = not_(eq(add(x, intc(1)), x))
+        solver = Solver()
+        assert solver.model(f) == {"x": 0}
+        assert solver.stats.nodes_searched == 3
+        assert solver.stats.max_query_nodes == 3
+        # the budget turns UNKNOWN exactly where the false side's node
+        # pushes the count past it
+        with pytest.raises(SolverUnknown):
+            Solver(node_budget=2).model(f)
+        assert Solver(node_budget=3).model(f) == {"x": 0}
 
     def test_disabled_cache_redecides_every_query(self):
         solver = Solver(enable_cache=False)

@@ -18,12 +18,13 @@ CHILD_SCRIPT = textwrap.dedent(
     import os, sys
     sys.path.insert(0, {src!r})
     from repro.benchmarks import by_name
-    from repro.verifier import VerifierConfig, run_parallel_portfolio
+    from repro.verifier import FaultPlan, VerifierConfig, run_parallel_portfolio
 
     print("READY", os.getpid(), flush=True)
     outcome = run_parallel_portfolio(
         by_name("peterson").build(),
         config=VerifierConfig(max_rounds=60),
+        fault_plan=FaultPlan.parse("seed=1;delay_ms=10"),
     )
     for member in outcome.members:
         print("MEMBER", member.order_name, member.verdict.value,
@@ -45,8 +46,8 @@ def run_portfolio_under_signal(sig: signal.Signals) -> tuple[int, str]:
     ready = proc.stdout.readline()
     assert ready.startswith("READY"), ready
     # let the workers spawn, then deliver the signal mid-verification
-    # (peterson takes ~1.7s cold; signal early enough that at least one
-    # member is still running even on a fast, warm machine)
+    # (every member sleeps 10ms per solver query, so peterson runs for
+    # seconds however fast the solver is: the signal finds them running)
     import time
 
     time.sleep(0.4)

@@ -130,8 +130,13 @@ class TestParallelRuntime:
 
     def test_crash_contained(self):
         # triage off: winner cancellation must not race the crash we
-        # are asserting on
-        plan = FaultPlan.parse("seed=3;seq:crash_at=0")
+        # are asserting on; the others sleep a second at their first
+        # query, so seq reaches its crash before any winner exists
+        plan = FaultPlan.parse(
+            "seed=3;seq:crash_at=0;"
+            "lockstep:hang_at=0;lockstep:hang_s=1;"
+            "rand(1):hang_at=0;rand(1):hang_s=1"
+        )
         outcome = run_parallel_portfolio(
             simple(), config(triage=False), seeds=(1,), fault_plan=plan
         )
@@ -151,10 +156,18 @@ class TestParallelRuntime:
         assert outcome.verdict == Verdict.CORRECT
         assert by_order(outcome)["seq"].verdict == Verdict.UNKNOWN
 
+    #: seq hard-exits at its first query while the other members sleep
+    #: a second at theirs, so seq has died before any winner exists
+    HARD_EXIT = (
+        "seed=3;seq:exit_at=0;"
+        "lockstep:hang_at=0;lockstep:hang_s=1;"
+        "rand(1):hang_at=0;rand(1):hang_s=1"
+    )
+
     def test_hard_exit_contained(self):
         # os._exit skips the worker's own containment; the parent must
         # notice the silent death and synthesize the ERROR itself
-        plan = FaultPlan.parse("seed=3;seq:exit_at=0")
+        plan = FaultPlan.parse(self.HARD_EXIT)
         outcome = run_parallel_portfolio(
             simple(), config(triage=False), seeds=(1,), fault_plan=plan
         )
@@ -162,6 +175,35 @@ class TestParallelRuntime:
         seq = by_order(outcome)["seq"]
         assert seq.verdict == Verdict.ERROR
         assert "exit code 86" in seq.failure_reason
+
+    def test_death_seen_at_cancel_is_an_error(self, monkeypatch):
+        # the wait hook hides seq's closed pipe, so its death is first
+        # seen when the winner's result is in and the losers are
+        # cancelled: that is still a crash, reported with its exit code,
+        # not a preemption
+        from types import SimpleNamespace
+
+        from repro.verifier import runtime
+
+        real_wait = runtime.mp_connection.wait
+
+        def wait(conns, timeout=None):
+            ready = real_wait(conns, timeout)
+            if len(conns) == 1:
+                return ready
+            # pipes follow member order: seq's comes first
+            return [conn for conn in ready if conn is not conns[0]]
+
+        monkeypatch.setattr(runtime, "mp_connection", SimpleNamespace(wait=wait))
+        plan = FaultPlan.parse(self.HARD_EXIT)
+        outcome = run_parallel_portfolio(
+            simple(), config(triage=False), seeds=(1,), fault_plan=plan
+        )
+        assert outcome.verdict == Verdict.CORRECT
+        seq = by_order(outcome)["seq"]
+        assert seq.verdict == Verdict.ERROR
+        assert "exit code 86" in seq.failure_reason
+        assert "cancelled" not in seq.failure_reason
 
     def test_acceptance_scenario(self):
         """One member crashes, one hangs past the watchdog, one is slow
@@ -208,8 +250,13 @@ class TestParallelRuntime:
 
     def test_deterministic_fault_outcomes_across_runs(self):
         # triage off: winner-side cancellation races the injected
-        # faults, so the losers' verdicts would not be repeatable
-        plan = FaultPlan.parse("seed=3;seq:crash_at=0;lockstep:oom_at=0")
+        # faults, so the losers' verdicts would not be repeatable; the
+        # winner sleeps a second at its first query, so both faults
+        # have fired before it can win
+        plan = FaultPlan.parse(
+            "seed=3;seq:crash_at=0;lockstep:oom_at=0;"
+            "rand(1):hang_at=0;rand(1):hang_s=1"
+        )
         verdicts = []
         for _ in range(2):
             outcome = run_parallel_portfolio(
