@@ -79,7 +79,7 @@ def _run():
     _log_progress(
         f"fig7 summary: wall={wall:.1f}s "
         f"solver_hit={caches['solver_hit_rate']:.1%} "
-        f"comm_hit={caches['comm_hit_rate']:.1%} "
+        f"comm_hit={caches['commutativity_hit_rate']:.1%} "
         f"decisions={caches['solver_decisions']} "
         f"fh_delta={caches['fh_step_delta_hits']} "
         f"warm={caches['warm_start_reused']}"
@@ -110,10 +110,10 @@ def test_fig7_rounds_and_proof_scatter(benchmark):
     lines.append("")
     lines.append(
         "query caches (GemCutter runs): "
-        f"solver {caches['solver_cache_hits']}/{caches['solver_sat_queries']} "
-        f"hits ({caches['solver_hit_rate']:.1%}), "
-        f"commutativity {caches['comm_cache_hits']}/{caches['comm_questions']} "
-        f"hits ({caches['comm_hit_rate']:.1%})"
+        f"solver {caches['solver_sat_queries']} queries "
+        f"({caches['solver_hit_rate']:.1%} cached), "
+        f"commutativity {caches['comm_queries']} queries "
+        f"({caches['commutativity_hit_rate']:.1%} cached)"
     )
     emit("fig7", lines)
     emit_json("fig7", {"points": points, "cache_summary": caches})

@@ -94,7 +94,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"combined: {verdict.value}")
         if args.show_cache_stats:
             for member in results:
-                _print_cache_stats(member)
+                _print_cache_stats(member.query_stats)
         return 0 if verdict.solved else 1
     result = verify(
         program, order, ConditionalCommutativity(solver), config=config,
@@ -110,7 +110,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for predicate in result.predicates:
             print(f"  {predicate!r}")
     if args.show_cache_stats:
-        _print_cache_stats(result)
+        _print_cache_stats(result.query_stats)
     return 0 if result.verdict.solved else 1
 
 
@@ -175,7 +175,7 @@ def _cmd_diff_verify(args: argparse.Namespace) -> int:
         for statement in result.counterexample:
             print(f"  {statement.label}")
     if args.show_cache_stats:
-        _print_cache_stats(result)
+        _print_cache_stats(result.query_stats)
     return 0 if result.verdict.solved else 1
 
 
@@ -209,12 +209,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown store command {args.store_command!r}")
 
 
-def _print_cache_stats(result) -> None:
-    if result.query_stats is None:
+def _print_cache_stats(stats) -> None:
+    if stats is None:
         print("cache stats: unavailable for this run")
         return
     print("cache stats:")
-    for line in result.query_stats.summary().splitlines():
+    for line in stats.summary().splitlines():
         print(f"  {line}")
 
 
@@ -262,7 +262,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
     if outcome.wall_seconds is not None:
         print(f"wall clock: {outcome.wall_seconds:.2f}s ({outcome.strategy})")
     if args.show_cache_stats:
-        _print_cache_stats(aggregated)
+        _print_cache_stats(aggregated.query_stats)
     return 0 if aggregated.verdict.solved else 1
 
 
@@ -448,10 +448,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             if verdict not in ("correct", "incorrect"):
                 exit_code = 1
             if args.show_cache_stats and result.get("query_stats"):
-                stats = QueryStats.from_dict(result["query_stats"])
-                print("cache stats:")
-                for line in stats.summary().splitlines():
-                    print(f"  {line}")
+                _print_cache_stats(QueryStats.from_dict(result["query_stats"]))
     return exit_code
 
 

@@ -24,7 +24,7 @@ the space-complexity theorems (Thm 4.3 / 7.2) and by the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Protocol
 
 from ..lang.statements import Statement
@@ -58,17 +58,6 @@ class CommutativityStats:
     cache_hits: int = 0
     solver_checks: int = 0
     unknown_fallbacks: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of (non-syntactic) questions answered from memory."""
-        asked = self.cache_hits + self.solver_checks
-        return self.cache_hits / asked if asked else 0.0
-
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["hit_rate"] = round(self.hit_rate, 4)
-        return out
 
 
 def _same_thread(a: Statement, b: Statement) -> bool:

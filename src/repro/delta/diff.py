@@ -307,10 +307,3 @@ class DeltaTracker:
             self.comm_reused += 1
         else:
             self.comm_missed += 1
-
-    @property
-    def fact_reuse_rate(self) -> float:
-        """Fraction of Hoare + commutativity store probes served."""
-        reused = self.hoare_reused + self.comm_reused
-        asked = reused + self.hoare_missed + self.comm_missed
-        return reused / asked if asked else 0.0

@@ -6,7 +6,7 @@ table formatting/persistence helpers.
 
 Environment knobs:
 
-* ``REPRO_BUDGET``  — per-run time budget in seconds (default 45);
+* ``REPRO_BUDGET``  — per-run time budget in seconds (default 20);
 * ``REPRO_ROUNDS``  — refinement round cap (default 60);
 * ``REPRO_FULL=1``  — run the larger instances (e.g. bluetooth up to 6
   threads in Figure 1c) at the cost of a longer wall-clock;
@@ -42,6 +42,7 @@ from .core.preference import (
 from .lang.program import ConcurrentProgram
 from .logic import Solver
 from .verifier import (
+    QueryStats,
     Verdict,
     VerificationResult,
     VerifierConfig,
@@ -313,103 +314,10 @@ def result_row(result: VerificationResult) -> dict:
 def cache_summary(
     pairs: Iterable[tuple[Benchmark, VerificationResult]]
 ) -> dict:
-    """Aggregate cache behaviour over a set of runs (fig7 reporting)."""
-    sat = hits = decisions = comm_asked = comm_hits = 0
-    intern_hits = intern_misses = subst_hits = subst_misses = reinterned = 0
-    fh_delta_hits = fh_delta_misses = warm_reused = warm_dirty = 0
-    store_hits = store_misses = store_writes = 0
-    fast_rounds = fast_step_hits = fast_cmask_hits = 0
-    delta_hoare_reused = delta_hoare_missed = 0
-    delta_comm_reused = delta_comm_missed = 0
-    triage_ranker_hits = triage_ladder_stages = triage_preemptions = 0
-    triage_budget_saved = 0.0
-    solver_time = 0.0
-    for _bench, result in pairs:
-        qs = result.query_stats
-        if qs is None:
-            continue
-        store_hits += qs.store_hits
-        store_misses += qs.store_misses
-        store_writes += qs.store_writes
-        fh_delta_hits += qs.fh_step_delta_hits
-        fh_delta_misses += qs.fh_step_delta_misses
-        warm_reused += qs.warm_start_reused
-        warm_dirty += qs.warm_start_dirty
-        sat += qs.solver_sat_queries
-        hits += (
-            qs.solver_cache_hits
-            + qs.solver_model_pool_hits
-            + qs.solver_unknown_cache_hits
-        )
-        decisions += qs.solver_decisions
-        comm_asked += (
-            qs.comm_subsumption_hits + qs.comm_cache_hits + qs.comm_solver_checks
-        )
-        comm_hits += qs.comm_subsumption_hits + qs.comm_cache_hits
-        solver_time += qs.solver_time_seconds
-        intern_hits += qs.intern_hits
-        intern_misses += qs.intern_misses
-        subst_hits += qs.substitute_hits
-        subst_misses += qs.substitute_misses
-        reinterned += qs.reintern_count
-        fast_rounds += qs.fastpath_rounds
-        fast_step_hits += qs.fastpath_step_hits
-        fast_cmask_hits += qs.fastpath_commute_mask_hits
-        delta_hoare_reused += qs.delta_hoare_reused
-        delta_hoare_missed += qs.delta_hoare_missed
-        delta_comm_reused += qs.delta_comm_reused
-        delta_comm_missed += qs.delta_comm_missed
-        triage_ranker_hits += qs.triage_ranker_hits
-        triage_ladder_stages += qs.triage_ladder_stages
-        triage_preemptions += qs.triage_preemptions
-        triage_budget_saved += qs.triage_budget_saved_seconds
-    intern_asked = intern_hits + intern_misses
-    delta_asked = (
-        delta_hoare_reused + delta_hoare_missed
-        + delta_comm_reused + delta_comm_missed
-    )
-    subst_asked = subst_hits + subst_misses
-    return {
-        "solver_sat_queries": sat,
-        "solver_cache_hits": hits,
-        "solver_decisions": decisions,
-        "solver_hit_rate": round(hits / sat, 4) if sat else 0.0,
-        "comm_questions": comm_asked,
-        "comm_cache_hits": comm_hits,
-        "comm_hit_rate": round(comm_hits / comm_asked, 4) if comm_asked else 0.0,
-        "solver_time_seconds": round(solver_time, 3),
-        "intern_hits": intern_hits,
-        "intern_hit_rate": (
-            round(intern_hits / intern_asked, 4) if intern_asked else 0.0
-        ),
-        "substitute_hit_rate": (
-            round(subst_hits / subst_asked, 4) if subst_asked else 0.0
-        ),
-        "reintern_count": reinterned,
-        "fh_step_delta_hits": fh_delta_hits,
-        "fh_step_delta_misses": fh_delta_misses,
-        "warm_start_reused": warm_reused,
-        "warm_start_dirty": warm_dirty,
-        "fastpath_rounds": fast_rounds,
-        "fastpath_step_hits": fast_step_hits,
-        "fastpath_commute_mask_hits": fast_cmask_hits,
-        "store_hits": store_hits,
-        "store_misses": store_misses,
-        "store_writes": store_writes,
-        "store_hit_rate": (
-            round(store_hits / (store_hits + store_misses), 4)
-            if store_hits + store_misses
-            else 0.0
-        ),
-        "delta_hoare_reused": delta_hoare_reused,
-        "delta_comm_reused": delta_comm_reused,
-        "delta_fact_reuse_rate": (
-            round((delta_hoare_reused + delta_comm_reused) / delta_asked, 4)
-            if delta_asked
-            else 0.0
-        ),
-        "triage_ranker_hits": triage_ranker_hits,
-        "triage_ladder_stages": triage_ladder_stages,
-        "triage_preemptions": triage_preemptions,
-        "triage_budget_saved_seconds": round(triage_budget_saved, 3),
-    }
+    """The summed :class:`QueryStats` of a set of runs, as
+    ``as_dict()`` (fig7 reporting)."""
+    return QueryStats.total(
+        result.query_stats
+        for _bench, result in pairs
+        if result.query_stats is not None
+    ).as_dict()

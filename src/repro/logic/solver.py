@@ -19,7 +19,7 @@ Soundness notes:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .atoms import LinearConstraint, atom_constraints
 from .fourier import (
@@ -84,19 +84,6 @@ class SolverStats:
     time_seconds: float = 0.0
     nodes_searched: int = 0
     max_query_nodes: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of sat-level questions answered without a decision."""
-        if not self.sat_queries:
-            return 0.0
-        saved = self.cache_hits + self.model_pool_hits + self.unknown_cache_hits
-        return saved / self.sat_queries
-
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["hit_rate"] = round(self.hit_rate, 4)
-        return out
 
 
 # ---------------------------------------------------------------------------

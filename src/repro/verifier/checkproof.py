@@ -325,69 +325,36 @@ class ProofChecker:
     def incremental(self) -> bool:
         return self._incremental
 
-    @property
-    def fh_step_hits(self) -> int:
-        fh = self._last_fh
-        return fh.stats.step_hits if fh is not None else 0
-
-    @property
-    def fh_step_delta_hits(self) -> int:
-        """Step-cache entries upgraded across a vocabulary growth."""
-        fh = self._last_fh
-        return fh.stats.step_delta_hits if fh is not None else 0
-
-    @property
-    def fh_step_delta_misses(self) -> int:
-        fh = self._last_fh
-        return fh.stats.step_delta_misses if fh is not None else 0
-
-    @property
-    def fh_initial_delta_hits(self) -> int:
-        fh = self._last_fh
-        return fh.stats.initial_delta_hits if fh is not None else 0
-
-    @property
-    def edge_sort_hits(self) -> int:
-        """(q, ctx)-memoized edge orderings served without re-sorting."""
-        return self._layer.context.stats.edge_sort_hits
-
-    @property
-    def edge_sort_misses(self) -> int:
-        return self._layer.context.stats.edge_sort_misses
-
-    # fast-engine counters (all 0 on the pure engine)
-
-    @property
-    def fastpath_rounds(self) -> int:
-        """Proof-check rounds run on the integer fast path."""
-        return self._fast.rounds if self._fast is not None else 0
-
-    @property
-    def fastpath_edge_hits(self) -> int:
-        """Compiled (q, ctx) edge tables served from the memo."""
-        return self._fast.pipeline.edge_hits if self._fast is not None else 0
-
-    @property
-    def fastpath_edge_misses(self) -> int:
-        return self._fast.pipeline.edge_misses if self._fast is not None else 0
-
-    @property
-    def fastpath_step_hits(self) -> int:
-        """Hoare steps answered by the (φ_id, a_id) integer memo."""
-        return self._fast.step_hits if self._fast is not None else 0
-
-    @property
-    def fastpath_step_misses(self) -> int:
-        return self._fast.step_misses if self._fast is not None else 0
-
-    @property
-    def fastpath_commute_mask_hits(self) -> int:
-        """Sleep-rule candidate sets decided purely by mask lookups."""
-        return self._fast.commute_mask_hits if self._fast is not None else 0
-
-    @property
-    def fastpath_commute_mask_misses(self) -> int:
-        return self._fast.commute_mask_misses if self._fast is not None else 0
+    def counters(self) -> dict[str, int]:
+        """This checker's counters, named as ``QueryStats`` fields."""
+        out = {
+            "comm_subsumption_queries": self.commute_queries,
+            "comm_subsumption_hits": self.commute_subsumption_hits,
+            "engine_states_explored": self.engine_states_explored,
+            "engine_deadline_ticks": self.engine_deadline_ticks,
+            "warm_start_reused": self.warm_start_reused,
+            "warm_start_dirty": self.warm_start_dirty,
+            # (q, ctx)-memoized edge orderings: edge_sort_hits/_misses
+            **vars(self._layer.context.stats),
+        }
+        if self.useless_cache is not None:
+            out["useless_cache_hits"] = self.useless_cache.hits
+        if self._last_fh is not None:
+            for name, value in vars(self._last_fh.stats).items():
+                out[f"fh_{name}"] = value
+        fast = self._fast
+        if fast is not None:
+            for name in (
+                "rounds",
+                "step_hits",
+                "step_misses",
+                "commute_mask_hits",
+                "commute_mask_misses",
+            ):
+                out[f"fastpath_{name}"] = getattr(fast, name)
+            out["fastpath_edge_hits"] = fast.pipeline.edge_hits
+            out["fastpath_edge_misses"] = fast.pipeline.edge_misses
+        return out
 
     # -- commutativity under the current assertion ---------------------------
     #

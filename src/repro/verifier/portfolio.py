@@ -126,17 +126,13 @@ class PortfolioResult:
         return max((m.time_seconds for m in self.members), default=0.0)
 
     def _apply_triage_counters(self, out: VerificationResult) -> None:
-        if not self.triage_counters:
-            return
-        if out.query_stats is None:
-            out.query_stats = QueryStats()
-        qs = out.query_stats
-        qs.triage_ranker_hits = self.triage_counters.get("ranker_hits", 0)
-        qs.triage_ladder_stages = self.triage_counters.get("ladder_stages", 0)
-        qs.triage_preemptions = self.triage_counters.get("preemptions", 0)
-        qs.triage_budget_saved_seconds = self.triage_counters.get(
-            "budget_saved_seconds", 0.0
-        )
+        # fold into a copy: *out* may share the winner's own stats, and
+        # the race's triage work is not that member's
+        if self.triage_counters:
+            out.query_stats = replace(
+                out.query_stats or QueryStats(),
+                **{f"triage_{k}": v for k, v in self.triage_counters.items()},
+            )
 
     def aggregate(self) -> VerificationResult:
         """A single result reflecting parallel portfolio execution."""

@@ -657,10 +657,13 @@ def run_parallel_portfolio(
             store.flush()
     # attribute parent-side re-interning (deserialized predicates,
     # counterexample guards, ...) to the reported stats: prefer the
-    # winner, else the first member that carried query_stats across
+    # winner the aggregate reports (the fastest solver, not always the
+    # first one this loop saw), else the first member that carried
+    # query_stats across
     reintern_delta = kernel_counters()["reintern_count"] - reintern_baseline
     if reintern_delta:
-        carriers = [winner] if winner is not None else outcome.members
+        reported = outcome.winner
+        carriers = [reported] if reported is not None else outcome.members
         for result in carriers:
             if result is not None and result.query_stats is not None:
                 result.query_stats.reintern_count += reintern_delta

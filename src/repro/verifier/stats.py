@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from ..lang.statements import Statement
 
@@ -51,6 +51,23 @@ class RoundStats:
     counterexample_length: int | None = None
 
 
+class _Ratio:
+    """A derived rate read like a field: summed *num* fields over summed
+    *den* fields, 0.0 while the denominator is zero."""
+
+    def __init__(self, num: tuple[str, ...], den: tuple[str, ...]) -> None:
+        self.num = num
+        self.den = den
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        asked = sum(getattr(obj, name) for name in self.den)
+        if not asked:
+            return 0.0
+        return sum(getattr(obj, name) for name in self.num) / asked
+
+
 @dataclass
 class QueryStats:
     """Cache/query instrumentation aggregated over one verification run.
@@ -60,6 +77,11 @@ class QueryStats:
     :class:`VerificationResult` (also on TIMEOUT/UNKNOWN paths) and
     surfaced by the CLI (``--show-cache-stats``), the CSV/JSON exports,
     and the benchmark harness.
+
+    The fields are the only declaration of a counter: collection,
+    :meth:`as_dict` / :meth:`from_dict`, :meth:`total` and the CSV
+    export loop over them, and :meth:`summary` formats them by name
+    (see ``_SUMMARY`` / ``_SUMMARY_GATED``).
     """
 
     # solver-level (repro.logic.Solver)
@@ -101,11 +123,9 @@ class QueryStats:
     fastpath_step_misses: int = 0
     fastpath_commute_mask_hits: int = 0
     fastpath_commute_mask_misses: int = 0
-    # term-kernel level (repro.logic.terms interning kernel); counters
-    # are deltas over the run when a baseline snapshot is supplied to
-    # :meth:`collect`, otherwise process-cumulative.  ``reintern_count``
-    # is the number of nodes rebuilt through the pickle hook (portfolio
-    # workers / parent-side result deserialization).
+    # term-kernel level (repro.logic.terms interning kernel).
+    # ``reintern_count`` is the number of nodes rebuilt through the
+    # pickle hook (portfolio workers / parent-side deserialization).
     intern_hits: int = 0
     intern_misses: int = 0
     intern_table_size: int = 0
@@ -114,9 +134,8 @@ class QueryStats:
     substitute_misses: int = 0
     free_vars_calls: int = 0
     kernel_compactions: int = 0
-    # persistent proof store (repro.store); deltas over this run when a
-    # baseline snapshot is supplied (the store is shared process-wide).
-    # ``store_entries`` is the absolute store size after the run.
+    # persistent proof store (repro.store); ``store_entries`` is the
+    # absolute store size after the run.
     store_hits: int = 0
     store_misses: int = 0
     store_writes: int = 0
@@ -141,8 +160,8 @@ class QueryStats:
     delta_comm_reused: int = 0
     delta_comm_missed: int = 0
     digest_memo_evictions: int = 0
-    # portfolio triage (repro.verifier.triage); filled in by the
-    # portfolio strategies on the winner's stats, zero elsewhere.
+    # portfolio triage (repro.verifier.triage); folded into the portfolio
+    # aggregate's stats (a copy of the winner's), zero elsewhere.
     # ``triage_ranker_hits`` is 1 when the feature ranker's top pick won
     # the race; ``triage_ladder_stages`` counts budget-ladder rungs run;
     # ``triage_preemptions`` counts members cancelled/deferred before
@@ -154,74 +173,49 @@ class QueryStats:
     triage_preemptions: int = 0
     triage_budget_saved_seconds: float = 0.0
 
-    @property
-    def solver_hit_rate(self) -> float:
-        """Fraction of sat-level queries answered without a decision run."""
-        if not self.solver_sat_queries:
-            return 0.0
-        saved = (
-            self.solver_cache_hits
-            + self.solver_model_pool_hits
-            + self.solver_unknown_cache_hits
-        )
-        return saved / self.solver_sat_queries
-
-    @property
-    def edge_sort_hit_rate(self) -> float:
-        """Fraction of edge-ordering requests served from the (q, ctx) memo."""
-        asked = self.edge_sort_hits + self.edge_sort_misses
-        if not asked:
-            return 0.0
-        return self.edge_sort_hits / asked
-
-    @property
-    def commutativity_hit_rate(self) -> float:
-        """Fraction of memoizable commutativity questions answered cached."""
-        asked = (
-            self.comm_subsumption_hits + self.comm_cache_hits + self.comm_solver_checks
-        )
-        if not asked:
-            return 0.0
-        return (self.comm_subsumption_hits + self.comm_cache_hits) / asked
-
-    @property
-    def intern_hit_rate(self) -> float:
-        """Fraction of constructor calls answered from the intern table."""
-        asked = self.intern_hits + self.intern_misses
-        if not asked:
-            return 0.0
-        return self.intern_hits / asked
-
-    @property
-    def substitute_hit_rate(self) -> float:
-        """Fraction of substitution nodes served from the kernel memo."""
-        asked = self.substitute_hits + self.substitute_misses
-        if not asked:
-            return 0.0
-        return self.substitute_hits / asked
-
-    @property
-    def free_vars_hit_rate(self) -> float:
-        """Always 1.0 once called: ``free_vars`` is precomputed per node."""
-        return 1.0 if self.free_vars_calls else 0.0
-
-    @property
-    def store_hit_rate(self) -> float:
-        """Fraction of persistent-store probes answered from disk."""
-        asked = self.store_hits + self.store_misses
-        if not asked:
-            return 0.0
-        return self.store_hits / asked
-
-    @property
-    def delta_fact_reuse_rate(self) -> float:
-        """Fraction of Hoare + commutativity store probes served from
-        the store during a delta run (the headline reuse metric)."""
-        reused = self.delta_hoare_reused + self.delta_comm_reused
-        asked = reused + self.delta_hoare_missed + self.delta_comm_missed
-        if not asked:
-            return 0.0
-        return reused / asked
+    # derived rates: summed numerator fields over summed denominator
+    # fields, exported after the counters rounded to 4 places
+    #: sat-level queries answered without a decision run
+    solver_hit_rate = _Ratio(
+        (
+            "solver_cache_hits",
+            "solver_model_pool_hits",
+            "solver_unknown_cache_hits",
+        ),
+        ("solver_sat_queries",),
+    )
+    #: memoizable commutativity questions answered cached
+    commutativity_hit_rate = _Ratio(
+        ("comm_subsumption_hits", "comm_cache_hits"),
+        ("comm_subsumption_hits", "comm_cache_hits", "comm_solver_checks"),
+    )
+    #: edge-ordering requests served from the (q, ctx) memo
+    edge_sort_hit_rate = _Ratio(
+        ("edge_sort_hits",), ("edge_sort_hits", "edge_sort_misses")
+    )
+    #: constructor calls answered from the intern table
+    intern_hit_rate = _Ratio(
+        ("intern_hits",), ("intern_hits", "intern_misses")
+    )
+    #: substitution nodes served from the kernel memo
+    substitute_hit_rate = _Ratio(
+        ("substitute_hits",), ("substitute_hits", "substitute_misses")
+    )
+    #: always 1.0 once called: ``free_vars`` is precomputed per node
+    free_vars_hit_rate = _Ratio(("free_vars_calls",), ("free_vars_calls",))
+    #: persistent-store probes answered from disk
+    store_hit_rate = _Ratio(("store_hits",), ("store_hits", "store_misses"))
+    #: Hoare + commutativity store probes served from the store during a
+    #: delta run (the headline reuse metric)
+    delta_fact_reuse_rate = _Ratio(
+        ("delta_hoare_reused", "delta_comm_reused"),
+        (
+            "delta_hoare_reused",
+            "delta_comm_reused",
+            "delta_hoare_missed",
+            "delta_comm_missed",
+        ),
+    )
 
     @property
     def fastpath_fallbacks(self) -> int:
@@ -248,235 +242,234 @@ class QueryStats:
     ) -> "QueryStats":
         """Snapshot counters from the run's collaborators.
 
-        *kernel_baseline* is a :func:`repro.logic.kernel_counters`
-        snapshot taken at the start of the run; the term-kernel fields
-        are reported as the delta against it (the kernel counters are
-        process-wide, so the diff isolates this run's share).  Without a
-        baseline the cumulative values are reported.  *delta* is the
-        run's :class:`~repro.delta.DeltaTracker` (delta runs only);
-        *digest_baseline* is a :func:`repro.store.digest_counters`
-        snapshot, diffed the same way as the kernel baseline.
+        Every source hands over its counters named as fields; keys that
+        name no field are dropped.  *kernel_baseline* is a
+        :func:`repro.logic.kernel_counters` snapshot taken at the start
+        of the run; the term-kernel fields are reported as the delta
+        against it (the kernel counters are process-wide, so the diff
+        isolates this run's share).  Without a baseline the cumulative
+        values are reported.  *store_baseline* (a store ``counters()``
+        snapshot) and *digest_baseline* (a
+        :func:`repro.store.digest_counters` snapshot) are diffed the same
+        way; the :data:`ABSOLUTE` fields never are.  *delta* is the run's
+        :class:`~repro.delta.DeltaTracker` (delta runs only).
         """
         from ..logic import kernel_counters
 
-        out = cls()
-        now = kernel_counters()
-        base = kernel_baseline or {}
-        out.intern_hits = now["intern_hits"] - base.get("intern_hits", 0)
-        out.intern_misses = now["intern_misses"] - base.get("intern_misses", 0)
-        out.reintern_count = now["reintern_count"] - base.get("reintern_count", 0)
-        out.substitute_hits = (
-            now["substitute_hits"] - base.get("substitute_hits", 0)
-        )
-        out.substitute_misses = (
-            now["substitute_misses"] - base.get("substitute_misses", 0)
-        )
-        out.free_vars_calls = (
-            now["free_vars_calls"] - base.get("free_vars_calls", 0)
-        )
-        out.kernel_compactions = (
-            now["kernel_compactions"] - base.get("kernel_compactions", 0)
-        )
-        out.intern_table_size = now["intern_table_size"]  # absolute
+        sources = [(kernel_counters(), kernel_baseline)]
         if solver is not None and hasattr(solver, "stats"):
-            s = solver.stats
-            out.solver_sat_queries = s.sat_queries
-            out.solver_cache_hits = s.cache_hits
-            out.solver_model_pool_hits = s.model_pool_hits
-            out.solver_unknown_cache_hits = s.unknown_cache_hits
-            out.solver_decisions = s.decisions
-            out.solver_unknowns = s.unknowns
-            out.solver_time_seconds = s.time_seconds
-            out.solver_nodes_searched = s.nodes_searched
+            sources.append((_prefixed("solver_", vars(solver.stats)), None))
         comm_stats = getattr(commutativity, "stats", None)
         if comm_stats is not None:
-            out.comm_queries = comm_stats.queries
-            out.comm_syntactic_hits = comm_stats.syntactic_hits
-            out.comm_cache_hits = comm_stats.cache_hits
-            out.comm_solver_checks = comm_stats.solver_checks
-            out.comm_unknown_fallbacks = comm_stats.unknown_fallbacks
+            sources.append((_prefixed("comm_", vars(comm_stats)), None))
         if checker is not None:
-            out.comm_subsumption_queries = checker.commute_queries
-            out.comm_subsumption_hits = checker.commute_subsumption_hits
-            out.engine_states_explored = checker.engine_states_explored
-            out.engine_deadline_ticks = checker.engine_deadline_ticks
-            out.edge_sort_hits = checker.edge_sort_hits
-            out.edge_sort_misses = checker.edge_sort_misses
-            if checker.useless_cache is not None:
-                out.useless_cache_hits = checker.useless_cache.hits
-            out.fh_step_hits = checker.fh_step_hits
-            out.fh_step_delta_hits = checker.fh_step_delta_hits
-            out.fh_step_delta_misses = checker.fh_step_delta_misses
-            out.fh_initial_delta_hits = checker.fh_initial_delta_hits
-            out.warm_start_reused = checker.warm_start_reused
-            out.warm_start_dirty = checker.warm_start_dirty
-            out.fastpath_rounds = getattr(checker, "fastpath_rounds", 0)
-            out.fastpath_edge_hits = getattr(checker, "fastpath_edge_hits", 0)
-            out.fastpath_edge_misses = getattr(
-                checker, "fastpath_edge_misses", 0
-            )
-            out.fastpath_step_hits = getattr(checker, "fastpath_step_hits", 0)
-            out.fastpath_step_misses = getattr(
-                checker, "fastpath_step_misses", 0
-            )
-            out.fastpath_commute_mask_hits = getattr(
-                checker, "fastpath_commute_mask_hits", 0
-            )
-            out.fastpath_commute_mask_misses = getattr(
-                checker, "fastpath_commute_mask_misses", 0
-            )
+            sources.append((checker.counters(), None))
         if store is not None:
-            counters = store.counters()
-            base = store_baseline or {}
-            out.store_hits = counters["store_hits"] - base.get("store_hits", 0)
-            out.store_misses = (
-                counters["store_misses"] - base.get("store_misses", 0)
-            )
-            out.store_writes = (
-                counters["store_writes"] - base.get("store_writes", 0)
-            )
-            out.store_entries = counters["store_entries"]  # absolute
+            sources.append((store.counters(), store_baseline))
         if delta is not None:
-            plan = delta.plan
-            out.delta_threads_unchanged = plan.threads_unchanged
-            out.delta_threads_edited = plan.threads_edited
-            out.delta_statements_edited = plan.statements_edited
-            out.delta_hoare_reused = delta.hoare_reused
-            out.delta_hoare_missed = delta.hoare_missed
-            out.delta_comm_reused = delta.comm_reused
-            out.delta_comm_missed = delta.comm_missed
+            # the tracker's probe counts plus the edit plan's sizes
+            tracked = dict(vars(delta))
+            for name in ("threads_unchanged", "threads_edited", "statements_edited"):
+                tracked[name] = getattr(delta.plan, name)
+            sources.append((_prefixed("delta_", tracked), None))
         if digest_baseline is not None:
             from ..store import digest_counters
 
-            out.digest_memo_evictions = digest_counters()[
-                "digest_memo_evictions"
-            ] - digest_baseline.get("digest_memo_evictions", 0)
-        return out
+            sources.append((digest_counters(), digest_baseline))
+        values = {}
+        for now, base in sources:
+            base = base or {}
+            for name, value in now.items():
+                if name in ABSOLUTE:
+                    values[name] = value
+                elif name in _FIELD_SET:
+                    values[name] = value - base.get(name, 0)
+        return cls(**values)
+
+    @classmethod
+    def total(cls, items: Iterable["QueryStats"]) -> "QueryStats":
+        """Field-wise sum over runs; the :data:`ABSOLUTE` fields stay 0."""
+        runs = list(items)
+        return cls(**{
+            name: sum(getattr(qs, name) for qs in runs)
+            for name in FIELDS
+            if name not in ABSOLUTE
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "QueryStats":
         """Rebuild from :meth:`as_dict` output (service result payloads
         cross a process + JSON boundary).  Unknown keys — the derived
         hit rates, forward-compat fields — are ignored."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**{k: v for k, v in data.items() if k in _FIELD_SET})
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["solver_hit_rate"] = round(self.solver_hit_rate, 4)
-        out["commutativity_hit_rate"] = round(self.commutativity_hit_rate, 4)
-        out["edge_sort_hit_rate"] = round(self.edge_sort_hit_rate, 4)
-        out["intern_hit_rate"] = round(self.intern_hit_rate, 4)
-        out["substitute_hit_rate"] = round(self.substitute_hit_rate, 4)
-        out["free_vars_hit_rate"] = round(self.free_vars_hit_rate, 4)
-        out["store_hit_rate"] = round(self.store_hit_rate, 4)
-        out["delta_fact_reuse_rate"] = round(self.delta_fact_reuse_rate, 4)
+        out = {name: getattr(self, name) for name in FIELDS}
+        out.update((name, round(getattr(self, name), 4)) for name in RATIOS)
         return out
 
     def summary(self) -> str:
         """A compact multi-line report (CLI ``--show-cache-stats``)."""
-        lines = [
-            "solver:        "
-            f"{self.solver_sat_queries} sat queries, "
-            f"{self.solver_decisions} decisions, "
-            f"{self.solver_unknowns} unknowns, "
-            f"hit rate {self.solver_hit_rate:.1%} "
-            f"(cache {self.solver_cache_hits}, "
-            f"model pool {self.solver_model_pool_hits}, "
-            f"unknown cache {self.solver_unknown_cache_hits})",
-            "               "
-            f"{self.solver_nodes_searched} search nodes, "
-            f"{self.solver_time_seconds:.3f}s in decisions",
-            "commutativity: "
-            f"{self.comm_queries} queries, "
-            f"{self.comm_syntactic_hits} syntactic, "
-            f"{self.comm_cache_hits} memoized, "
-            f"{self.comm_solver_checks} solver checks "
-            f"({self.comm_unknown_fallbacks} unknown fallbacks)",
-            "proof checker: "
-            f"{self.comm_subsumption_queries} proof-sensitive queries, "
-            f"{self.comm_subsumption_hits} subsumption hits, "
-            f"combined hit rate {self.commutativity_hit_rate:.1%}",
-            "engine:        "
-            f"{self.engine_states_explored} states, "
-            f"{self.engine_deadline_ticks} deadline ticks, "
-            f"edge-sort hit rate {self.edge_sort_hit_rate:.1%} "
-            f"(hits {self.edge_sort_hits}, misses {self.edge_sort_misses}), "
-            f"{self.useless_cache_hits} useless-state hits",
-            "incremental:   "
-            f"fh steps {self.fh_step_hits} hits / "
-            f"{self.fh_step_delta_hits} delta hits / "
-            f"{self.fh_step_delta_misses} misses, "
-            f"{self.fh_initial_delta_hits} initial delta hits; "
-            f"warm start {self.warm_start_reused} reused, "
-            f"{self.warm_start_dirty} dirty seeds",
-            "term kernel:   "
-            f"intern hit rate {self.intern_hit_rate:.1%} "
-            f"(hits {self.intern_hits}, misses {self.intern_misses}), "
-            f"table size {self.intern_table_size}, "
-            f"substitute hit rate {self.substitute_hit_rate:.1%}, "
-            f"{self.free_vars_calls} free_vars calls (precomputed), "
-            f"{self.reintern_count} re-interned",
-            "proof store:   "
-            f"hit rate {self.store_hit_rate:.1%} "
-            f"(hits {self.store_hits}, misses {self.store_misses}), "
-            f"{self.store_writes} writes, "
-            f"{self.store_entries} entries on disk",
-        ]
-        if self.fastpath_rounds:
-            lines.append(
-                "fast path:     "
-                f"{self.fastpath_rounds} rounds, "
-                f"edge tables {self.fastpath_edge_hits} hits / "
-                f"{self.fastpath_edge_misses} compiled, "
-                f"steps {self.fastpath_step_hits} hits / "
-                f"{self.fastpath_step_misses} misses, "
-                f"commute masks {self.fastpath_commute_mask_hits} hits / "
-                f"{self.fastpath_commute_mask_misses} misses"
-            )
-        if (
-            self.delta_threads_unchanged
-            or self.delta_threads_edited
-            or self.delta_hoare_reused
-        ):
-            lines.append(
-                "delta:         "
-                f"{self.delta_threads_unchanged} threads unchanged / "
-                f"{self.delta_threads_edited} edited "
-                f"({self.delta_statements_edited} statements), "
-                f"fact reuse {self.delta_fact_reuse_rate:.1%} "
-                f"(hoare {self.delta_hoare_reused}/"
-                f"{self.delta_hoare_reused + self.delta_hoare_missed}, "
-                f"comm {self.delta_comm_reused}/"
-                f"{self.delta_comm_reused + self.delta_comm_missed})"
-            )
-        if (
-            self.service_jobs
-            or self.service_retries
-            or self.service_shed
-            or self.service_breaker_trips
-        ):
-            lines.append(
-                "service:       "
-                f"{self.service_jobs} jobs completed, "
-                f"{self.service_retries} retries, "
-                f"{self.service_shed} shed, "
-                f"{self.service_breaker_trips} breaker trips"
-            )
-        if (
-            self.triage_ranker_hits
-            or self.triage_ladder_stages
-            or self.triage_preemptions
-            or self.triage_budget_saved_seconds
-        ):
-            lines.append(
-                "triage:        "
-                f"{self.triage_ranker_hits} ranker hits, "
-                f"{self.triage_ladder_stages} ladder stages, "
-                f"{self.triage_preemptions} preemptions, "
-                f"{self.triage_budget_saved_seconds:.1f}s budget saved"
-            )
-        return "\n".join(lines)
+        values = {name: getattr(self, name) for name in (*FIELDS, *RATIOS)}
+        values["delta_hoare_asked"] = (
+            self.delta_hoare_reused + self.delta_hoare_missed
+        )
+        values["delta_comm_asked"] = (
+            self.delta_comm_reused + self.delta_comm_missed
+        )
+        shown = list(_SUMMARY)
+        shown.extend(
+            template
+            for gate, template in _SUMMARY_GATED
+            if any(values[name] for name in gate)
+        )
+        return "\n".join(template.format_map(values) for template in shown)
+
+
+#: counter field names, in declaration (= export) order
+FIELDS = tuple(f.name for f in fields(QueryStats))
+_FIELD_SET = frozenset(FIELDS)
+#: derived rate names, in declaration (= export) order
+RATIOS = tuple(
+    name
+    for name, value in vars(QueryStats).items()
+    if isinstance(value, _Ratio)
+)
+#: absolute values: reported as-is by ``collect`` (never diffed against
+#: a baseline) and left out of ``total``
+ABSOLUTE = frozenset({"intern_table_size", "store_entries"})
+
+#: the QueryStats columns of the CSV export, in column order
+CSV_COLUMNS = (
+    "solver_queries",
+    "solver_decisions",
+    "solver_hit_rate",
+    "comm_queries",
+    "comm_hit_rate",
+    "edge_sort_hit_rate",
+    "engine_deadline_ticks",
+    "useless_cache_hits",
+    "fh_step_delta_hits",
+    "warm_start_reused",
+    "warm_start_dirty",
+    "fastpath_rounds",
+    "fastpath_step_hits",
+    "fastpath_commute_mask_hits",
+    "intern_hit_rate",
+    "substitute_hit_rate",
+    "reintern_count",
+    "store_hits",
+    "store_hit_rate",
+    "store_writes",
+    "service_jobs",
+    "service_retries",
+    "service_shed",
+    "service_breaker_trips",
+    "delta_threads_unchanged",
+    "delta_threads_edited",
+    "delta_hoare_reused",
+    "delta_comm_reused",
+    "delta_fact_reuse_rate",
+    "triage_ranker_hits",
+    "triage_ladder_stages",
+    "triage_preemptions",
+    "triage_budget_saved_seconds",
+)
+#: CSV columns whose historical name differs from the attribute
+CSV_ALIASES = {
+    "solver_queries": "solver_sat_queries",
+    "comm_hit_rate": "commutativity_hit_rate",
+}
+
+#: the ``summary()`` sections printed always, one template each
+_SUMMARY = (
+    "solver:        {solver_sat_queries} sat queries, "
+    "{solver_decisions} decisions, {solver_unknowns} unknowns, "
+    "hit rate {solver_hit_rate:.1%} (cache {solver_cache_hits}, "
+    "model pool {solver_model_pool_hits}, "
+    "unknown cache {solver_unknown_cache_hits})\n"
+    "               {solver_nodes_searched} search nodes, "
+    "{solver_time_seconds:.3f}s in decisions",
+    "commutativity: {comm_queries} queries, "
+    "{comm_syntactic_hits} syntactic, {comm_cache_hits} memoized, "
+    "{comm_solver_checks} solver checks "
+    "({comm_unknown_fallbacks} unknown fallbacks)",
+    "proof checker: {comm_subsumption_queries} proof-sensitive queries, "
+    "{comm_subsumption_hits} subsumption hits, "
+    "combined hit rate {commutativity_hit_rate:.1%}",
+    "engine:        {engine_states_explored} states, "
+    "{engine_deadline_ticks} deadline ticks, "
+    "edge-sort hit rate {edge_sort_hit_rate:.1%} "
+    "(hits {edge_sort_hits}, misses {edge_sort_misses}), "
+    "{useless_cache_hits} useless-state hits",
+    "incremental:   fh steps {fh_step_hits} hits / "
+    "{fh_step_delta_hits} delta hits / {fh_step_delta_misses} misses, "
+    "{fh_initial_delta_hits} initial delta hits; "
+    "warm start {warm_start_reused} reused, "
+    "{warm_start_dirty} dirty seeds",
+    "term kernel:   intern hit rate {intern_hit_rate:.1%} "
+    "(hits {intern_hits}, misses {intern_misses}), "
+    "table size {intern_table_size}, "
+    "substitute hit rate {substitute_hit_rate:.1%}, "
+    "{free_vars_calls} free_vars calls (precomputed), "
+    "{reintern_count} re-interned",
+    "proof store:   hit rate {store_hit_rate:.1%} "
+    "(hits {store_hits}, misses {store_misses}), "
+    "{store_writes} writes, {store_entries} entries on disk",
+)
+#: the optional sections as (gate fields, template); each prints only
+#: when one of its gate fields is nonzero
+_SUMMARY_GATED = (
+    (
+        ("fastpath_rounds",),
+        "fast path:     {fastpath_rounds} rounds, "
+        "edge tables {fastpath_edge_hits} hits / "
+        "{fastpath_edge_misses} compiled, "
+        "steps {fastpath_step_hits} hits / {fastpath_step_misses} misses, "
+        "commute masks {fastpath_commute_mask_hits} hits / "
+        "{fastpath_commute_mask_misses} misses",
+    ),
+    (
+        (
+            "delta_threads_unchanged",
+            "delta_threads_edited",
+            "delta_hoare_reused",
+        ),
+        "delta:         {delta_threads_unchanged} threads unchanged / "
+        "{delta_threads_edited} edited "
+        "({delta_statements_edited} statements), "
+        "fact reuse {delta_fact_reuse_rate:.1%} "
+        "(hoare {delta_hoare_reused}/{delta_hoare_asked}, "
+        "comm {delta_comm_reused}/{delta_comm_asked})",
+    ),
+    (
+        (
+            "service_jobs",
+            "service_retries",
+            "service_shed",
+            "service_breaker_trips",
+        ),
+        "service:       {service_jobs} jobs completed, "
+        "{service_retries} retries, {service_shed} shed, "
+        "{service_breaker_trips} breaker trips",
+    ),
+    (
+        (
+            "triage_ranker_hits",
+            "triage_ladder_stages",
+            "triage_preemptions",
+            "triage_budget_saved_seconds",
+        ),
+        "triage:        {triage_ranker_hits} ranker hits, "
+        "{triage_ladder_stages} ladder stages, "
+        "{triage_preemptions} preemptions, "
+        "{triage_budget_saved_seconds:.1f}s budget saved",
+    ),
+)
+
+
+def _prefixed(prefix: str, counters: dict) -> dict:
+    return {prefix + name: value for name, value in counters.items()}
 
 
 @dataclass

@@ -49,7 +49,7 @@ from repro.store import (
     term_digest,
 )
 from repro.store import digest as digest_mod
-from repro.verifier import VerifierConfig, verify
+from repro.verifier import QueryStats, VerifierConfig, verify
 
 from helpers import make_program, straight_line_thread
 
@@ -252,7 +252,10 @@ def test_delta_tracker_attribution():
     assert tracker.hoare_missed == 1
     assert tracker.comm_missed == 1
     assert tracker.touched_probes == 2
-    assert tracker.fact_reuse_rate == pytest.approx(1 / 3)
+    qs = QueryStats.collect(delta=tracker)
+    assert qs.delta_hoare_reused == 1
+    assert qs.delta_threads_edited == plan.threads_edited
+    assert qs.delta_fact_reuse_rate == pytest.approx(1 / 3)
 
 
 # ------------------------------------------------- end-to-end differential

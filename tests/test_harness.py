@@ -6,6 +6,7 @@ from repro.benchmarks import by_name
 from repro.harness import (
     SuiteAggregate,
     aggregate,
+    cache_summary,
     emit,
     result_row,
     run_cached,
@@ -13,6 +14,7 @@ from repro.harness import (
     time_budget,
 )
 from repro.verifier import Verdict, VerificationResult
+from test_report_golden import QUERY_STATS_DICT, golden_results
 
 
 FAST_BENCH = "counter-sum(2)"
@@ -110,6 +112,24 @@ class TestAggregation:
         agg = aggregate(pairs, "label")
         assert agg.label == "label"
         assert agg.rounds == 3
+
+    def test_cache_summary_sums_runs(self):
+        runs = [(None, r) for r in golden_results() * 2]
+        expected = {
+            name: 2 * value
+            for name, value in QUERY_STATS_DICT.items()
+            if not name.endswith("_rate")
+        }
+        # absolute values are not summed
+        expected.update(intern_table_size=0, store_entries=0)
+        # doubling every numerator and denominator keeps each rate
+        expected.update(
+            (name, value)
+            for name, value in QUERY_STATS_DICT.items()
+            if name.endswith("_rate")
+        )
+        summary = cache_summary(runs)
+        assert list(summary.items()) == list(expected.items())
 
 
 class TestOutput:

@@ -28,6 +28,7 @@ from repro.logic import (
     var,
 )
 from repro.logic.solver import SolverUnknown
+from repro.verifier import QueryStats
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -150,10 +151,11 @@ class TestCaching:
             s.cache_hits + s.model_pool_hits + s.unknown_cache_hits + s.decisions
         )
         assert answered == s.sat_queries
-        assert 0.0 < s.hit_rate < 1.0
-        as_dict = s.as_dict()
-        assert as_dict["sat_queries"] == 5
-        assert as_dict["hit_rate"] == round(s.hit_rate, 4)
+        qs = QueryStats.collect(solver)
+        assert qs.solver_sat_queries == 5
+        assert qs.solver_hit_rate == (s.sat_queries - s.decisions) / 5
+        assert 0.0 < qs.solver_hit_rate < 1.0
+        assert qs.as_dict()["solver_hit_rate"] == round(qs.solver_hit_rate, 4)
 
     def test_model_short_circuits_on_cached_unsat(self, solver):
         f = and_(le(x, intc(0)), le(intc(1), x))

@@ -9,6 +9,7 @@ from repro.verifier import (
     Verdict,
     VerificationResult,
     standard_orders,
+    verify_portfolio,
 )
 
 
@@ -125,3 +126,30 @@ class TestAggregateFailurePath:
         assert agg.attempts == 3
         assert agg.respawns == 3
         assert agg.degraded
+
+
+class TestTriageCounterFold:
+    COUNTER = (
+        "var x: int = 0; thread A { x := x + 1; } thread B { x := x + 1; }"
+        " post: x == 2;"
+    )
+
+    def test_aggregate_leaves_winner_stats_alone(self):
+        outcome = verify_portfolio(parse(self.COUNTER, name="counter"))
+        assert outcome.triage_counters
+        winner = outcome.winner
+        first = outcome.aggregate().query_stats
+        second = outcome.aggregate().query_stats
+        assert first is not winner.query_stats
+        assert first == second
+        assert first.triage_ladder_stages >= 1
+        for name in (
+            "triage_ranker_hits",
+            "triage_ladder_stages",
+            "triage_preemptions",
+            "triage_budget_saved_seconds",
+        ):
+            assert getattr(winner.query_stats, name) == 0
+            assert getattr(first, name) == outcome.triage_counters[
+                name[len("triage_"):]
+            ]
