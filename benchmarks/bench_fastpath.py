@@ -10,10 +10,13 @@ field wider than 6 bits):
   run side by side in the same process (the states guard separately
   pins both engines against the checked-in exploration baseline);
 * **counter stability** — the fast path's own cache counters
-  (``fastpath_*``) are deterministic and match
-  ``benchmarks/fastpath_baseline.json``.  A counter drift means the
-  compiled tables are being rebuilt or bypassed — a performance
-  regression the identical verdicts would hide.
+  (``fastpath_*``) and the commutativity question counts
+  (``comm_queries``, ``comm_syntactic_hits``) are deterministic and
+  match ``benchmarks/fastpath_baseline.json``.  A ``fastpath_*`` drift
+  means the compiled tables are being rebuilt or bypassed — a
+  performance regression the identical verdicts would hide; a
+  ``comm_*`` drift means the persistent-set conflict graph or the sleep
+  rule asks different commutativity questions.
 
 A wall-clock comparison is reported (and sanity-bounded: the fast
 engine must not be dramatically slower than pure) but not pinned —
@@ -63,7 +66,10 @@ PROGRAMS = {
 #: cases whose alphabet must exceed 64 letters
 WIDE = ("reorder(31)-bug", "counter-sum(65)")
 
-#: the pinned fast-path counters (drift = tables rebuilt or bypassed)
+#: the pinned fast-path counters (drift = tables rebuilt or bypassed),
+#: plus the commutativity questions asked: Algorithm 1 and the sleep
+#: rule ask them in uid order, so a drift there means the reduction
+#: asks different questions
 COUNTER_FIELDS = (
     "fastpath_rounds",
     "fastpath_edge_hits",
@@ -72,6 +78,8 @@ COUNTER_FIELDS = (
     "fastpath_step_misses",
     "fastpath_commute_mask_hits",
     "fastpath_commute_mask_misses",
+    "comm_queries",
+    "comm_syntactic_hits",
 )
 
 
