@@ -199,13 +199,15 @@ class FastChecker:
         flags = self._flags
         n = len(flags)
         if q_id >= n:
-            program = self.enc.program
-            q_of = self.enc.q_of
+            enc = self.enc
+            q_of = enc.q_of
+            exit_state = enc.exit_state
+            error_locations = enc.error_locations
             for i in range(n, q_id + 1):
                 q = q_of(i)
                 flags.append(
-                    (1 if program.is_violation(q) else 0)
-                    | (2 if program.is_exit(q) else 0)
+                    (2 if q == exit_state else 0)
+                    | any(q[t] == loc for t, loc in error_locations)
                 )
         return flags[q_id]
 

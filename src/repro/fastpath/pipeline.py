@@ -14,7 +14,16 @@ sort keys per sibling.  Here both are compiled once per ``(q, ctx)``:
 * the membrane (persistent-set) letter filter, memoized per
   ``(q, ctx)`` as a mask — the provider's own ``(state, context)`` memo
   already guarantees one conflict-graph run per pair, this avoids even
-  the frozenset round trip on re-visits.
+  the frozenset round trip on re-visits.  The provider
+  (:class:`~repro.core.persistent.PersistentSetProvider`, shared with
+  the pure stack) runs Algorithm 1 over its own per-thread tables:
+  thread bitmasks, one adjacency int per active thread, and a Warshall
+  closure for the sink SCC.
+
+A table miss reads the encoder's per-thread location tables — the
+``(a_id, dst)`` edges of each thread at its location in ``q`` — so
+building an edge table touches neither ``program.successors`` nor a
+statement-to-id lookup.
 
 Commutativity masks are *not* here: they depend on the proof assertion
 φ, so they live with the proof-check glue (:mod:`repro.fastpath.check`)
@@ -23,12 +32,16 @@ next to the subsumption cache they decode into.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable
 
 from ..core.preference import Context
 from ..lang.program import ProductState
 from ..lang.statements import Statement
 from .encoder import ProgramEncoder
+
+#: sorts raw edges by their ⋖ key alone (stable, like the pure layer)
+_sort_key = itemgetter(0)
 
 #: the membrane hook, same shape the pure layers use
 LetterFilter = Callable[[ProductState, Context], frozenset[Statement]]
@@ -67,9 +80,13 @@ class FastPipeline:
     def edge_table(self, q_id: int, ctx_id: int) -> EdgeTable:
         """The ⋖-sorted compiled edges of ``(q, ctx)``, memoized.
 
-        Sorting uses the encoder's precomputed per-context rank array;
-        keys include the letter uid, so they are strict and the sorted
-        order matches the pure context layer's exactly.
+        The edges are read from the encoder's per-thread location
+        tables (thread-major, edge-list order, like
+        ``program.successors``) and sorted under the encoder's
+        precomputed per-context rank array; keys include the letter
+        uid, so they are strict and the sorted order matches the pure
+        context layer's exactly.  Successor states are interned in that
+        sorted order.
         """
         memo_key = (q_id, ctx_id)
         table = self._tables.get(memo_key)
@@ -79,21 +96,29 @@ class FastPipeline:
         self.edge_misses += 1
         enc = self.enc
         keys = enc.key_table(ctx_id)
-        letter_id = enc.letter_id
-        raw = sorted(
-            (
-                (keys[letter_id[a]], letter_id[a], q2)
-                for a, q2 in enc.program.successors(enc.q_of(q_id))
-            ),
-            key=lambda e: e[0],
-        )
+        q = enc.q_of(q_id)
+        raw = []
+        for i, thread_edges in enumerate(enc.thread_edges):
+            out = thread_edges.get(q[i])
+            if out:
+                for a_id, dst in out:
+                    raw.append((keys[a_id], a_id, i, dst))
+        raw.sort(key=_sort_key)
+        q_id_of = enc.q_id
+        advance_id = enc.advance_id
         edges = []
         enabled = 0
         lower = 0  # prefix OR: bits of the strictly-⋖-smaller siblings
-        for _key, a_id, q2 in raw:
+        for _key, a_id, i, dst in raw:
             bit = 1 << a_id
             edges.append(
-                (a_id, bit, enc.q_id(q2), enc.advance_id(ctx_id, a_id), lower)
+                (
+                    a_id,
+                    bit,
+                    q_id_of(q[:i] + (dst,) + q[i + 1 :]),
+                    advance_id(ctx_id, a_id),
+                    lower,
+                )
             )
             lower |= bit
             enabled |= bit
