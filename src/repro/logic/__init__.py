@@ -7,7 +7,6 @@ paper's implementation; see DESIGN.md §3 for the substitution rationale.
 from .arrays import UnsupportedArrayFormula, ackermannize, contains_arrays
 from .terms import (
     Add,
-    node_count,
     And,
     AVar,
     BoolConst,
@@ -35,7 +34,6 @@ from .terms import (
     eq,
     evaluate,
     free_vars,
-    fresh_var,
     ge,
     gt,
     iff,
@@ -46,7 +44,6 @@ from .terms import (
     lt,
     mul,
     ne,
-    neg,
     not_,
     or_,
     rename,
@@ -60,16 +57,16 @@ from .terms import (
     register_kernel_cache,
 )
 from .simplify import drop_redundant_conjuncts, drop_redundant_disjuncts, simplify, simplify_all
-from .solver import Solver, SolverStats, SolverUnknown, default_solver
+from .solver import Solver, SolverStats, SolverUnknown
 from .qe import eliminate_exists, eliminate_forall
 
 __all__ = [
     "Add", "And", "BoolConst", "Eq", "FALSE", "IntConst", "Ite", "Le",
     "Mul", "Not", "ONE", "Or", "TRUE", "Term", "Var", "ZERO",
-    "add", "and_", "boolc", "eq", "evaluate", "free_vars", "fresh_var",
+    "add", "and_", "boolc", "eq", "evaluate", "free_vars",
     "ge", "gt", "iff", "implies", "intc", "ite", "le", "lt", "mul", "ne",
-    "neg", "node_count", "not_", "or_", "rename", "sub", "substitute", "var",
-    "Solver", "SolverStats", "SolverUnknown", "default_solver",
+    "not_", "or_", "rename", "sub", "substitute", "var",
+    "Solver", "SolverStats", "SolverUnknown",
     "eliminate_exists", "eliminate_forall",
     "AVar", "Select", "Store", "avar", "select", "store",
     "UnsupportedArrayFormula", "ackermannize", "contains_arrays",

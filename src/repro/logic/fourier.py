@@ -3,8 +3,11 @@
 The theory backend for conjunctions of linear constraints:
 
 * :func:`fm_project` eliminates a variable over the rationals (used for
-  quantifier elimination and as the UNSAT core of the solver — rational
-  infeasibility implies integer infeasibility);
+  quantifier elimination);
+* :func:`rational_core` decides a constraint set by elimination and,
+  when it is infeasible, names an infeasible subset of it: the solver
+  prunes and backjumps on it (rational infeasibility implies integer
+  infeasibility);
 * :func:`rational_model` finds a rational model by full elimination and
   back-substitution;
 * :func:`integer_model` finds an *integer* model via branch-and-bound on
@@ -83,7 +86,7 @@ def canonical(
     """The canonical set of a conjunction, or ``None`` if trivially false.
 
     Canonical means tightened, with trivially-true constraints dropped:
-    the form :func:`rationally_feasible` takes.  The union of two
+    the form :func:`rational_core` takes.  The union of two
     canonical sets is the canonical set of the joined conjunction, so
     the solver builds each branch's set from per-literal pieces.
     """
@@ -100,10 +103,27 @@ def fm_project(
     false constraint arises (the input is rationally — hence integrally —
     infeasible).
     """
-    lowers: list[tuple[int, LinExpr]] = []  # c·x >= -rest  (coeff c < 0)
-    uppers: list[tuple[int, LinExpr]] = []  # c·x <= -rest  (coeff c > 0)
-    rest: list[LinearConstraint] = []
-    for c in constraints:
+    projected = _project(constraints, [0] * len(constraints), variable)
+    return None if projected.__class__ is int else projected[0]
+
+
+def _project(
+    constraints: Sequence[LinearConstraint], masks: Sequence[int], variable: str
+) -> tuple[list[LinearConstraint], list[int]] | int:
+    """:func:`fm_project` with provenance.
+
+    ``masks[i]`` is the bitmask of input constraints that
+    ``constraints[i]`` was derived from; each projected constraint
+    carries the union of its two parents' masks (a duplicate keeps the
+    mask it was first derived with).  If a trivially false constraint
+    arises, its mask is returned instead: those inputs alone are
+    infeasible.
+    """
+    lowers: list[tuple[int, LinExpr, int]] = []  # c·x >= -rest  (coeff c < 0)
+    uppers: list[tuple[int, LinExpr, int]] = []  # c·x <= -rest  (coeff c > 0)
+    new: list[LinearConstraint] = []
+    new_masks: list[int] = []
+    for c, mask in zip(constraints, masks):
         coeffs = c.expr.coeffs
         coeff = 0
         for v, co in coeffs:
@@ -111,23 +131,36 @@ def fm_project(
                 coeff = co
                 break
         if coeff == 0:
-            rest.append(c)
+            new.append(c)
+            new_masks.append(mask)
             continue
         # dropping one key from a sorted tuple preserves the sort order
         remainder = LinExpr(
             tuple(item for item in coeffs if item[0] != variable), c.expr.const
         )
         if coeff > 0:
-            uppers.append((coeff, remainder))
+            uppers.append((coeff, remainder, mask))
         else:
-            lowers.append((-coeff, remainder))
-    new: list[LinearConstraint] = list(rest)
-    for cu, ru in uppers:
-        for cl, rl in lowers:
+            lowers.append((-coeff, remainder, mask))
+    for cu, ru, mu in uppers:
+        for cl, rl, ml in lowers:
             # cu·x + ru <= 0 and -cl·x + rl <= 0
             # =>  cl·ru + cu·rl <= 0
             new.append(LinearConstraint(ru.combine(cl, rl, cu)))
-    return _dedup(new)
+            new_masks.append(mu | ml)
+    out: list[LinearConstraint] = []
+    out_masks: list[int] = []
+    seen: set[LinearConstraint] = set()
+    for c, mask in zip(new, new_masks):
+        c = tighten(c)
+        if c.trivially_false:
+            return mask
+        if c.trivially_true or c in seen:
+            continue
+        seen.add(c)
+        out.append(c)
+        out_masks.append(mask)
+    return out, out_masks
 
 
 def _bounds_for(
@@ -179,45 +212,77 @@ def rational_model(
 
 
 _MISS = object()
-#: the one constraint-set memo: canonical set -> rational model, or
-#: ``None`` when the set is infeasible
+#: the one constraint-set memo: canonical set -> rational model, or the
+#: set's infeasible core (a ``frozenset``) when it has none
 _model_cache: dict[
-    frozenset[LinearConstraint], dict[str, Fraction] | None
+    frozenset[LinearConstraint],
+    dict[str, Fraction] | frozenset[LinearConstraint],
 ] = register_kernel_cache({})
 
 
-def _model_of(key: frozenset[LinearConstraint]) -> dict[str, Fraction] | None:
+def _outcome(
+    key: frozenset[LinearConstraint],
+) -> dict[str, Fraction] | frozenset[LinearConstraint]:
     """The memoized elimination result for a canonical set (shared:
     callers must not mutate it).
 
-    Keyed on the set, not on any order of it: elimination depends only
-    on the set — variables go in sorted order, every projection
-    deduplicates, every bound is a min/max over the set and values are
-    exact ``Fraction``s — so the same set reached by DPLL branches that
-    gathered it in different orders is one entry.
+    Keyed on the set, not on any order of it: elimination sorts its
+    input (see :func:`_solve`), so the same set reached by DPLL branches
+    that gathered it in different orders is one entry.
     """
     cached = _model_cache.get(key, _MISS)
     if cached is _MISS:
-        cached = _eliminate(list(key))
+        cached = _solve(list(key))
         if len(_model_cache) < 500_000:
             _model_cache[key] = cached
     return cached
 
 
+def _model_of(key: frozenset[LinearConstraint]) -> dict[str, Fraction] | None:
+    """The memoized rational model of a canonical set, ``None`` if it is
+    infeasible."""
+    outcome = _outcome(key)
+    return outcome if outcome.__class__ is dict else None
+
+
+def _order(c: LinearConstraint) -> tuple:
+    return c.expr.coeffs, c.expr.const
+
+
 def _eliminate(
     cons: list[LinearConstraint],
 ) -> dict[str, Fraction] | None:
-    variables = sorted({v for c in cons for v, _ in c.expr.coeffs})
+    """The rational model of a deduplicated, tightened list, or ``None``."""
+    outcome = _solve(cons)
+    return outcome if outcome.__class__ is dict else None
+
+
+def _solve(
+    cons: list[LinearConstraint],
+) -> dict[str, Fraction] | frozenset[LinearConstraint]:
+    """Eliminate every variable: a rational model, or an infeasible core.
+
+    The inputs are put in ``(coeffs, const)`` order first, and each
+    carries its own bit through :func:`_project`.  The model depends only
+    on the set — variables go in sorted order, every projection
+    deduplicates, every bound is a min/max over the set and values are
+    exact ``Fraction``s.  The core is the provenance mask of the first
+    trivially false constraint derived, which depends on the order: the
+    fixed order makes it a function of the set, never of hash order.
+    """
+    ordered = sorted(cons, key=_order)
+    masks = [1 << i for i in range(len(ordered))]
+    variables = sorted({v for c in ordered for v, _ in c.expr.coeffs})
     # eliminate in order, remembering each stage's constraint set
     stages: list[tuple[str, list[LinearConstraint]]] = []
-    current = cons
+    current = ordered
     for v in variables:
         stages.append((v, current))
-        projected = fm_project(current, v)
-        if projected is None:
-            return None
-        current = projected
-    # 'current' now has no variables; _dedup already rejected falsities.
+        projected = _project(current, masks, v)
+        if projected.__class__ is int:
+            return frozenset(c for i, c in enumerate(ordered) if projected >> i & 1)
+        current, masks = projected
+    # 'current' now has no variables; _project already rejected falsities.
     env: dict[str, Fraction] = {}
     for v, cons_at in reversed(stages):
         lo, hi = _bounds_for(v, cons_at, env)
@@ -242,12 +307,27 @@ def _pick_value(lo: Fraction | None, hi: Fraction | None) -> Fraction:
 
 
 def rationally_feasible(key: frozenset[LinearConstraint]) -> bool:
-    """Memoized rational feasibility of a :func:`canonical` set (the
-    DPLL pruning check).
+    """Memoized rational feasibility of a :func:`canonical` set.
 
     Rational infeasibility soundly implies integer infeasibility.
     """
-    return _model_of(key) is not None
+    return _outcome(key).__class__ is dict
+
+
+def rational_core(
+    key: frozenset[LinearConstraint],
+) -> frozenset[LinearConstraint] | None:
+    """The DPLL pruning check: ``None`` if the :func:`canonical` set is
+    rationally feasible, else an infeasible subset of it (memoized).
+
+    The core is built from Fourier–Motzkin provenance: the inputs that
+    the trivially false constraint was derived from.  Those derivations
+    use only the core, so the core alone is infeasible too — over the
+    integers, since every step gcd-tightens, and by
+    :func:`rationally_feasible` as well.
+    """
+    outcome = _outcome(key)
+    return None if outcome.__class__ is dict else outcome
 
 
 def integer_model(

@@ -26,7 +26,7 @@ from .fourier import (
     BranchBudgetExceeded,
     canonical,
     integer_model_of,
-    rationally_feasible,
+    rational_core,
 )
 from .terms import register_kernel_cache
 from .terms import (
@@ -270,6 +270,13 @@ def _is_literal(f: Term) -> bool:
     return isinstance(f, (Le, Eq)) or (isinstance(f, Not) and isinstance(f.arg, (Le, Eq)))
 
 
+class _PoolModel(dict):
+    """A remembered model; a variable it does not mention reads as 0."""
+
+    def __missing__(self, name: str) -> int:
+        return 0
+
+
 class Solver:
     """A caching solver facade.
 
@@ -306,13 +313,20 @@ class Solver:
         self._node_budget = node_budget
         self._enable_cache = enable_cache
         self._nodes_this_query = 0
+        #: the key at each depth of the search's current path
+        self._path: list[frozenset[LinearConstraint]] = []
         # all three caches key on interned-node ids: hashing is O(1) and
         # a hit never pays a structural compare; nids are never reused,
         # so entries for dead nodes are unreachable, never wrong
         self._sat_cache: dict[int, bool] = {}
         self._normal_cache: dict[int, tuple[Term, Term]] = {}
         self._unknown_cache: dict[int, int] = {}
-        self._model_pool: list[dict[str, int]] = []
+        self._model_pool: list[_PoolModel] = []
+        #: every pool bit set
+        self._pool_all = 0
+        #: :meth:`_pool_masks` memo, keyed by ``nid``; emptied whenever
+        #: the pool changes
+        self._mask_memo: dict[int, tuple[int, int]] = {}
         self.num_queries = 0
         self.stats = SolverStats()
         self._deadline: float | None = None
@@ -345,22 +359,78 @@ class Solver:
     def _remember_model(self, model: dict[str, int]) -> None:
         """Keep recent models for cheap SAT witnessing of later queries."""
         if model and model not in self._model_pool:
-            self._model_pool.append(model)
+            self._model_pool.append(_PoolModel(model))
             if len(self._model_pool) > 64:
                 self._model_pool.pop(0)
+            self._pool_all = (1 << len(self._model_pool)) - 1
+            self._mask_memo.clear()
 
     def _model_pool_hit(self, formula: Term) -> bool:
-        """Does some cached model satisfy *formula*? (cheap pre-check)"""
-        names = formula.free_vars
-        check = compile_eval(formula)
-        for model in self._model_pool:
-            env = {name: model.get(name, 0) for name in names}
-            try:
-                if check(env):
-                    return True
-            except TypeError:  # pragma: no cover - defensive
-                return False
-        return False
+        """Does some cached model satisfy *formula*? (cheap pre-check)
+
+        The answer is that of a scan from the oldest model that stops at
+        the first model satisfying *formula* (a hit) or raising
+        ``TypeError`` (a miss; array formulas raise, since a pool model
+        holds no array values).  Nearly every hit is the newest model,
+        so a formula without arrays, which cannot raise, tries it first.
+        Otherwise the answer is read off :meth:`_pool_masks`.
+        """
+        pool = self._model_pool
+        if not pool:
+            return False
+        if not formula.has_arrays and compile_eval(formula)(pool[-1]):
+            return True
+        true, error = self._pool_masks(formula)
+        stops = true | error
+        return bool(stops & -stops & true)
+
+    def _pool_masks(self, term: Term) -> tuple[int, int]:
+        """``(true, error)``: bitmasks over the pool, oldest model at bit
+        0, of the models under which *term* evaluates true, and of those
+        under which its evaluation raises ``TypeError``.
+
+        Atoms are evaluated model by model with :func:`compile_eval`;
+        ``And``, ``Or`` and ``Not`` combine their arguments' masks with
+        the short-circuit order of ``all`` / ``any``, so each bit is the
+        outcome of evaluating the whole term under that model.
+        Memoized by ``nid`` until the pool next changes.
+        """
+        masks = self._mask_memo.get(term.nid)
+        if masks is not None:
+            return masks
+        if isinstance(term, (And, Or)):
+            is_and = isinstance(term, And)
+            live, true, error = self._pool_all, 0, 0
+            for arg in term.args:
+                t, e = self._pool_masks(arg)
+                error |= live & e
+                if is_and:
+                    live &= t
+                else:
+                    true |= live & t
+                    live &= ~(t | e)
+                if not live:
+                    break
+            if is_and:
+                true = live
+        elif isinstance(term, Not):
+            t, error = self._pool_masks(term.arg)
+            true = self._pool_all & ~(t | error)
+        else:
+            check = compile_eval(term)
+            true = error = 0
+            bit = 1
+            for model in self._model_pool:
+                try:
+                    if check(model):
+                        true |= bit
+                except TypeError:
+                    error |= bit
+                bit <<= 1
+        masks = (true, error)
+        if len(self._mask_memo) < self._cache_size:
+            self._mask_memo[term.nid] = masks
+        return masks
 
     # -- normalization ------------------------------------------------------
 
@@ -478,7 +548,7 @@ class Solver:
         self._nodes_this_query = 0
         started = time.perf_counter()
         try:
-            model = self._search([nnf], _NO_CONSTRAINTS, _NO_CONSTRAINTS)
+            model = self._search([(nnf, 0)], _NO_CONSTRAINTS, _NO_CONSTRAINTS, 0)
         except (BranchBudgetExceeded, SolverUnknown) as exc:
             self.stats.unknowns += 1
             if self._enable_cache and len(self._unknown_cache) < self._cache_size:
@@ -491,7 +561,7 @@ class Solver:
             self.stats.nodes_searched += self._nodes_this_query
             if self._nodes_this_query > self.stats.max_query_nodes:
                 self.stats.max_query_nodes = self._nodes_this_query
-        if model is None:
+        if model.__class__ is int:
             return None
         # Unconstrained variables (dropped by trivially-true constraints)
         # still need a value for the model to be total over the formula.
@@ -505,11 +575,12 @@ class Solver:
 
     def _search(
         self,
-        pending: list[Term],
+        pending: list[tuple[Term, int]],
         key: frozenset[LinearConstraint],
         branch: frozenset[LinearConstraint] | None,
-    ) -> dict[str, int] | None:
-        """One search node.
+        depth: int,
+    ) -> dict[str, int] | int:
+        """One search node: a model, or the explanation of the failure.
 
         *key* is the parent's canonical constraint set, which the parent
         proved rationally feasible (the root's is empty); *branch* holds
@@ -518,6 +589,19 @@ class Solver:
         own literals contribute, and probes feasibility only if that
         grew the set.  Every node costs one unit of the node budget,
         a trivially false disequality side included.
+
+        *depth* counts the splits above this node.  Each *pending*
+        formula carries the depth that introduced it, and a constraint
+        is tagged with the depth at which it entered the key (looked up
+        in :attr:`_path`).  A failed subtree returns its explanation, a
+        bitmask over the depths whose choices it depends on: an
+        infeasible core's tags, a false literal's tag, and at a failed
+        split, its children's explanations minus their own depth plus
+        the split formula's tag.  When a child's explanation leaves out
+        the child's own depth, the side it took played no part in the
+        failure, so every remaining side fails the same way and the
+        split is abandoned (backjumping).  Integer-level failures explain
+        with every depth, so above them the search stays chronological.
         """
         self._nodes_this_query += 1
         if self._nodes_this_query > self._node_budget:
@@ -526,59 +610,95 @@ class Solver:
             if time.perf_counter() > self._deadline:
                 raise SolverUnknown("solver deadline exceeded")
         if branch is None:
-            return None
+            return 1 << depth
         # Process conjuncts and literals first, delaying disjunctive splits.
         parts = [branch] if branch else []
-        ors: list[Term] = []
-        alternatives: list[Term] = []
+        ors: list[tuple[Term, int]] = []
+        alternatives: list[tuple[Term, int]] = []
         work = list(pending)
         while work:
-            f = work.pop()
+            item = work.pop()
+            f, tag = item
             if isinstance(f, BoolConst):
                 if not f.value:
-                    return None
+                    return 1 << tag
             elif isinstance(f, And):
-                work.extend(f.args)
+                work.extend([(a, tag) for a in f.args])
             elif isinstance(f, Or):
-                ors.append(f)
+                ors.append(item)
             elif _is_literal(f):
                 branches = _theory_branches(f)
                 if len(branches) == 1:
                     if branches[0] is None:
-                        return None
+                        return 1 << tag
                     parts.append(branches[0])
                 else:
-                    alternatives.append(f)  # disequality: split later
+                    alternatives.append(item)  # disequality: split later
             else:
                 raise TypeError(f"unexpected node in NNF search: {f!r}")
+        path = self._path
+        del path[depth:]
         grown = key.union(*parts) if parts else key
         if len(grown) > len(key):
             # Feasibility pruning before splitting; an unchanged set is
             # the one the parent already proved feasible.
-            if (ors or alternatives) and not rationally_feasible(grown):
-                return None
+            path.append(grown)
+            if ors or alternatives:
+                core = rational_core(grown)
+                if core is not None:
+                    return self._explain(core, depth)
             key = grown
+        else:
+            path.append(key)
+        child = depth + 1
+        here = 1 << child
         if alternatives:
-            f = alternatives.pop()
+            f, tag = alternatives.pop()
             rest = ors + alternatives
+            why = 1 << tag
             for side in _theory_branches(f):
-                hit = self._search(rest, key, side)
-                if hit is not None:
+                hit = self._search(rest, key, side, child)
+                if hit.__class__ is not int:
                     return hit
-            return None
+                if not hit & here:
+                    return hit
+                why |= hit ^ here
+            return why
         if ors:
-            f = ors.pop()
+            f, tag = ors.pop()
+            why = 1 << tag
             for arg in f.args:
-                hit = self._search(ors + [arg], key, _NO_CONSTRAINTS)
-                if hit is not None:
+                hit = self._search(ors + [(arg, child)], key, _NO_CONSTRAINTS, child)
+                if hit.__class__ is not int:
                     return hit
-            return None
-        return integer_model_of(key, budget=self._branch_budget)
+                if not hit & here:
+                    return hit
+                why |= hit ^ here
+            return why
+        model = integer_model_of(key, budget=self._branch_budget)
+        if model is not None:
+            return model
+        core = rational_core(key)
+        if core is None:
+            # rationally feasible but integer-infeasible: no core
+            return here - 1
+        return self._explain(core, depth)
 
+    def _explain(self, core: frozenset[LinearConstraint], depth: int) -> int:
+        """The depths at which *core*'s constraints entered the key.
 
-_default_solver = Solver()
-
-
-def default_solver() -> Solver:
-    """The process-wide shared solver (shared cache)."""
-    return _default_solver
+        ``_path[d]`` is the key at depth ``d`` of the current path; the
+        keys grow down the path, so a binary search finds the first.
+        """
+        path = self._path
+        why = 0
+        for c in core:
+            lo, hi = 0, depth
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if c in path[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            why |= 1 << lo
+        return why

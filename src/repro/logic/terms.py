@@ -650,10 +650,6 @@ def sub(lhs: Term, rhs: Term) -> Term:
     return add(lhs, mul(-1, rhs))
 
 
-def neg(arg: Term) -> Term:
-    return mul(-1, arg)
-
-
 def ite(cond: Term, then: Term, else_: Term) -> Term:
     if isinstance(cond, BoolConst):
         return then if cond.value else else_
@@ -801,11 +797,6 @@ def free_vars(term: Term) -> frozenset[str]:
     return term.free_vars
 
 
-def node_count(term: Term) -> int:
-    """The number of nodes in *term*'s tree (precomputed; query-size metric)."""
-    return term.size
-
-
 _SUBSTITUTE_MEMO_LIMIT = 500_000
 _substitute_memo: dict[tuple, Term] = register_kernel_cache({})
 
@@ -948,8 +939,8 @@ def compile_eval(term: Term):
     Exactly :func:`evaluate`'s semantics — same short-circuiting, same
     ``KeyError`` on unbound variables — but the isinstance dispatch is
     paid once per distinct node instead of once per evaluation.  The
-    solver's model pool probes the same formula against up to 64 cached
-    models; this makes each probe a plain closure call.
+    solver's model pool evaluates the same atoms against up to 64 cached
+    models; this makes each evaluation a plain closure call.
     """
     fn = _eval_fns.get(term.nid)
     if fn is not None:
@@ -990,16 +981,3 @@ def compile_eval(term: Term):
     if len(_eval_fns) < 200_000:
         _eval_fns[term.nid] = fn
     return fn
-
-
-_fresh_counter = itertools.count()
-
-
-def fresh_var(prefix: str = "aux") -> Var:
-    """A variable with a globally unique name (used for havoc / QE)."""
-    return Var(f"{prefix}!{next(_fresh_counter)}")
-
-
-def is_bool_sorted(term: Term) -> bool:
-    """True if *term* is a formula (boolean-sorted)."""
-    return isinstance(term, (BoolConst, Not, And, Or, Le, Eq))
