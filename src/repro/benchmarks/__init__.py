@@ -1,13 +1,12 @@
 """Benchmark program generators (the evaluation corpora substitute)."""
 
 from .bluetooth import bluetooth
-from .suite import Benchmark, all_benchmarks, by_name, iter_programs, suite
+from .suite import Benchmark, all_benchmarks, by_name, suite
 
 __all__ = [
     "bluetooth",
     "Benchmark",
     "all_benchmarks",
     "by_name",
-    "iter_programs",
     "suite",
 ]

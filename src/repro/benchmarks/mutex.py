@@ -82,9 +82,10 @@ thread Writer {{
 def double_observer(*, correct: bool = True) -> ConcurrentProgram:
     """Two independent observer threads (footnote 4 showcase).
 
-    Each observer asserts about its own variable; per-thread analysis
-    (``verify_each_thread``) restores persistent-set pruning that the
-    two-observer membrane condition would otherwise forbid.
+    Each observer asserts about its own variable, so every membrane
+    must include both observer threads; the paper's per-thread analysis
+    would split this into one analysis per observer (not implemented
+    here, see docs/theory.md, deviation 6).
     """
     y_init = 0 if correct else 1
     src = f"""

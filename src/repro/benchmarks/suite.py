@@ -12,7 +12,7 @@ to split result tables into correct/incorrect rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..lang import ConcurrentProgram
 from . import arrays, mutex, svcomp, weaver
@@ -157,9 +157,3 @@ def by_name(name: str) -> Benchmark:
         if b.name == name:
             return b
     raise KeyError(name)
-
-
-def iter_programs(suite_name: str | None = None) -> Iterator[ConcurrentProgram]:
-    entries = all_benchmarks() if suite_name is None else suite(suite_name)
-    for b in entries:
-        yield b.build()

@@ -82,20 +82,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         incremental=not args.no_incremental,
         store_path=_store_path(args),
     )
-    if args.per_thread:
-        from .verifier import combine_verdicts, verify_each_thread
-
-        results = verify_each_thread(
-            program, order, ConditionalCommutativity(solver), config=config
-        )
-        for member in results:
-            print(f"  {member.summary()}")
-        verdict = combine_verdicts(results)
-        print(f"combined: {verdict.value}")
-        if args.show_cache_stats:
-            for member in results:
-                _print_cache_stats(member.query_stats)
-        return 0 if verdict.solved else 1
     result = verify(
         program, order, ConditionalCommutativity(solver), config=config,
         solver=solver,
@@ -534,10 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--no-proof-sensitive", action="store_true")
     p_verify.add_argument("--show-proof", action="store_true")
-    p_verify.add_argument(
-        "--per-thread", action="store_true",
-        help="analyse each thread's asserts separately (footnote 4)",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_diff = sub.add_parser(

@@ -6,7 +6,6 @@ from .commutativity import (
     CommutativityStats,
     ConditionalCommutativity,
     FullCommutativity,
-    ProofSensitiveAdapter,
     SemanticCommutativity,
     SyntacticCommutativity,
     composition_equal_condition,
@@ -20,8 +19,6 @@ from .mazurkiewicz import (
 from .layers import (
     ContextLayer,
     LayerStats,
-    PersistentLayer,
-    ProductLayer,
     SleepLayer,
     build_reduction_layers,
 )
@@ -46,7 +43,6 @@ __all__ = [
     "CommutativityStats",
     "ConditionalCommutativity",
     "FullCommutativity",
-    "ProofSensitiveAdapter",
     "SemanticCommutativity",
     "SyntacticCommutativity",
     "composition_equal_condition",
@@ -56,8 +52,6 @@ __all__ = [
     "partition_into_classes",
     "ContextLayer",
     "LayerStats",
-    "PersistentLayer",
-    "ProductLayer",
     "SleepLayer",
     "build_reduction_layers",
     "is_membrane",

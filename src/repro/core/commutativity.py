@@ -313,19 +313,3 @@ class ConditionalCommutativity:
         if skey is not None:
             store.put(_KIND_COMM_COND, skey, result)
         return result
-
-
-class ProofSensitiveAdapter:
-    """Fix the context assertion of a conditional relation.
-
-    The sleep-set construction consumes an unconditional relation; the
-    on-the-fly proof check re-wraps the conditional relation with the
-    current Floyd/Hoare assertion at every state (Algorithm 2).
-    """
-
-    def __init__(self, conditional: ConditionalCommutativity, phi: Term) -> None:
-        self._conditional = conditional
-        self._phi = phi
-
-    def commute(self, a: Statement, b: Statement) -> bool:
-        return self._conditional.commute_under(self._phi, a, b)

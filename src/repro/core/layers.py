@@ -2,13 +2,17 @@
 
 The paper builds its reductions as a stack of language transformers:
 
-* **product** (§3) — the interleaving product of the thread CFAs;
+* **product** (§3) — the interleaving product of the thread CFAs: the
+  base automaton (any ``LazyDFA``, e.g. a program's ``product_view``),
+  which the context layer wraps directly;
 * **context** (§4) — the product with the preference order's auxiliary
   context automaton, which fixes the ⋖-sorted order of outgoing edges;
 * **sleep** (§5, Definition 5.1) — sleep sets prune all but the
   lex(⋖)-minimal representative per Mazurkiewicz class;
 * **persistent/membrane** (§6, Algorithm 1) — weakly persistent
-  membranes prune useless states, compatible with ⋖;
+  membranes prune useless states, compatible with ⋖; a letter filter
+  on the sleep layer, which persistent-only modes run with sleep
+  tracking off;
 * **proof cover** (§7.2) — the Floyd/Hoare product with ⊥-covering,
   layered on top by the proof checker.
 
@@ -34,7 +38,7 @@ the edges and recomputed O(|edges|²) sort keys in the sleep rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterator
 
 from ..lang.statements import Statement
 from .commutativity import CommutativityRelation
@@ -56,28 +60,6 @@ class LayerStats:
 
     edge_sort_hits: int = 0
     edge_sort_misses: int = 0
-
-
-class ProductLayer:
-    """The interleaving product layer (§3): a pass-through adapter.
-
-    Anything exposing the ``LazyDFA`` protocol (a program's
-    ``product_view``, a :class:`~repro.core.sleepset.DfaBase`, a
-    ``MappedLazyDFA``) already *is* this layer; the class exists so the
-    stack can be assembled uniformly and documented as such.
-    """
-
-    def __init__(self, base) -> None:
-        self.base = base
-
-    def initial_state(self) -> BaseState:
-        return self.base.initial_state()
-
-    def successors(self, state: BaseState) -> Iterable[tuple[Statement, BaseState]]:
-        return self.base.successors(state)
-
-    def is_accepting(self, state: BaseState) -> bool:
-        return self.base.is_accepting(state)
 
 
 class ContextLayer:
@@ -246,17 +228,6 @@ class SleepLayer:
         return self.context.base.is_accepting(state[0])
 
 
-class PersistentLayer(SleepLayer):
-    """The membrane-only layer P↓π (§6): persistent pruning, no sleep sets.
-
-    A :class:`SleepLayer` with sleep tracking disabled — states keep the
-    ``(q, ∅, ctx)`` shape, only the membrane filter prunes letters.
-    """
-
-    def __init__(self, context: ContextLayer, membrane: LetterFilter) -> None:
-        super().__init__(context, commute=None, membrane=membrane)
-
-
 def build_reduction_layers(
     base,
     order: PreferenceOrder,
@@ -265,7 +236,7 @@ def build_reduction_layers(
     mode: str = "combined",
     membrane: LetterFilter | None = None,
 ) -> SleepLayer:
-    """Assemble the Product → Context → Sleep/Persistent stack for *mode*.
+    """Assemble the Context → Sleep stack over *base* for *mode*.
 
     ``"combined"`` layers sleep sets over the membrane, ``"sleep"`` and
     ``"persistent"`` each use one layer alone, ``"none"`` degenerates to

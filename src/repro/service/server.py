@@ -6,7 +6,8 @@ Unix-socket front door speaking the NDJSON protocol
 (:mod:`repro.service.journal`), a weighted-fair queue
 (:mod:`repro.service.queue`), and a pool of scheduler tasks that run
 each job attempt in an isolated forked process
-(:mod:`repro.service.worker` — the PR 2 crash-containment boundary).
+(:mod:`repro.verifier.pool` — the crash-containment boundary shared
+with the parallel portfolio).
 
 The robustness envelope, end to end:
 
@@ -38,27 +39,20 @@ import random
 import signal
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
+from ..verifier import pool
 from ..verifier.faults import FaultPlan, derive_seed
 from ..verifier.refinement import VerifierConfig
-from ..verifier.runtime import _default_context
 from ..verifier.stats import Verdict
 from . import protocol
 from .journal import JobJournal
 from .policy import CircuitBreaker, ServicePolicies, TokenBudget
 from .queue import FairQueue, Job, JobState
-from .worker import (
-    DEFAULT_HB_INTERVAL,
-    job_config,
-    result_payload,
-    run_job_in_child,
-)
+from .worker import build_job, job_config, result_payload
 
 log = logging.getLogger("repro.service")
-
-#: scheduler-side pipe poll cadence (same order as the runtime's)
-POLL_INTERVAL = 0.02
 
 
 @dataclass
@@ -81,7 +75,6 @@ class ServiceConfig:
     fault_plan: FaultPlan | None = None
     fault_fraction: float = 1.0
     fault_attempts: int = 1
-    hb_interval: float = DEFAULT_HB_INTERVAL
 
 
 class ServiceStats:
@@ -144,7 +137,6 @@ class VerificationService:
         self.jobs: dict[str, Job] = {}
         self.budgets: dict[str, TokenBudget] = {}
         self._seq = 0
-        self._mp_ctx = _default_context()
         self._draining = False
         self._paused = False
         self._started_at = time.perf_counter()
@@ -442,65 +434,39 @@ class VerificationService:
         fault_plan = self._fault_plan_for(job, attempt)
         if fault_plan is not None and fault_plan.active:
             self.stats.faults_injected += 1
-        parent_conn, child_conn = self._mp_ctx.Pipe(duplex=False)
-        proc = self._mp_ctx.Process(
-            target=run_job_in_child,
-            args=(
-                child_conn,
-                job.spec,
-                config,
-                scale,
-                fault_plan,
-                self.config.hb_interval,
-            ),
-            name=f"repro-serve-{job.id}-a{attempt}",
-            daemon=True,
-        )
-        started = self._now()
         timeout = job.spec.get("timeout", self.config.member_timeout)
+        worker = pool.Worker(
+            partial(build_job, job.spec),
+            config,
+            attempt=attempt,
+            name=f"repro-serve-{job.id}-a{attempt}",
+            scale=scale,
+            fault_plan=fault_plan,
+            degrade_after=None,
+        )
+        started = worker.started
         deadline = started + timeout * scale if timeout is not None else None
-        proc.start()
-        child_conn.close()
         try:
             while True:
                 if job.cancel_requested:
                     return "cancelled", {}
-                if parent_conn.poll():
-                    try:
-                        kind, message = parent_conn.recv()
-                    except (EOFError, OSError):
-                        proc.join(timeout=1.0)
-                        return "crash", self._synthetic_payload(
-                            job,
-                            Verdict.ERROR,
-                            f"worker died (exit code {proc.exitcode}, "
-                            f"attempt {attempt})",
-                            elapsed=self._now() - started,
-                        )
+                for kind, message in worker.events():
                     if kind == "hb":
                         self.stats.heartbeats += 1
                         job.progress = message
                         job.publish(
                             {"event": "progress", "id": job.id, **message}
                         )
-                        continue
-                    if kind == "result":
+                    elif kind == "result":
                         message.attempts = attempt
                         return "result", result_payload(message)
-                    return "crash", self._synthetic_payload(
-                        job,
-                        Verdict.ERROR,
-                        f"worker crashed: {message} (attempt {attempt})",
-                        elapsed=self._now() - started,
-                    )
-                if not proc.is_alive() and not parent_conn.poll():
-                    return "crash", self._synthetic_payload(
-                        job,
-                        Verdict.ERROR,
-                        f"worker died (exit code {proc.exitcode}, "
-                        f"attempt {attempt})",
-                        elapsed=self._now() - started,
-                    )
+                    else:  # "crash" | "died"
+                        return "crash", self._synthetic_payload(
+                            job,
+                            Verdict.ERROR,
+                            message,
+                            elapsed=self._now() - started,
+                        )
                 now = self._now()
                 if deadline is not None and now > deadline:
                     return "timeout", self._synthetic_payload(
@@ -510,13 +476,9 @@ class VerificationService:
                         f"(attempt {attempt})",
                         elapsed=now - started,
                     )
-                await asyncio.sleep(POLL_INTERVAL)
+                await asyncio.sleep(pool.POLL_INTERVAL)
         finally:
-            if proc.is_alive():
-                proc.kill()
-            proc.join()
-            proc.close()
-            parent_conn.close()
+            worker.kill()
 
     def _synthetic_payload(
         self,

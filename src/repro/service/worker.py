@@ -1,31 +1,18 @@
-"""The service's isolated job worker (child-process side).
+"""What a service job attempt runs, and how its result looks on the wire.
 
-One job attempt = one forked process running ``verify()`` — the PR 2
-crash-containment boundary, reused: an OOM, a recursion blowup, an
-injected ``os._exit`` or a watchdog SIGKILL costs one attempt, never
-the server.  The child talks to the scheduler over a one-way pipe:
-
-* ``("hb", {...})`` — heartbeat/progress, every ``hb_interval``
-  seconds from a daemon thread (elapsed wall clock, the process-wide
-  solver query count, and the triage progress counters —
-  refinement rounds + states explored), streamed on to
-  ``wait --stream`` subscribers;
-* ``("result", VerificationResult)`` — the verdict (pickled; terms
-  re-intern in the parent via the PR 4 ``__reduce__`` hook);
-* ``("crash", reason)`` — a contained Python-level failure.
-
-``result_payload``/``job_fingerprint`` live here too: the JSON shape a
-result takes on the wire, and the bit-identity fingerprint the chaos
-harness compares against direct ``verify()`` runs.
+Each job attempt runs in a forked worker of :mod:`repro.verifier.pool`
+(the crash-containment boundary shared with the parallel portfolio;
+the message protocol is documented there).  This module holds the
+service's side of it: :func:`build_job` turns a job spec into the
+``(program, order)`` the worker verifies, :func:`job_config` applies
+the spec's overrides and the retry scale to the server's base config,
+:func:`result_payload` is the JSON shape a result takes on the wire,
+and :func:`job_fingerprint` is the bit-identity core the chaos harness
+compares against direct ``verify()`` runs.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import time
-
-from ..core.commutativity import ConditionalCommutativity
 from ..core.preference import (
     LockstepOrder,
     PreferenceOrder,
@@ -34,15 +21,8 @@ from ..core.preference import (
 )
 from ..lang import parse
 from ..lang.program import ConcurrentProgram
-from ..logic import Solver
-from ..verifier.faults import ENV_VAR, FaultInjector, MemberFaultPlan
-from ..verifier.refinement import VerifierConfig, verify
-from ..verifier.runtime import BASE_BRANCH_BUDGET, BASE_NODE_BUDGET
+from ..verifier.refinement import VerifierConfig
 from ..verifier.stats import VerificationResult
-from ..verifier.triage import attach_progress_meter, progress_payload
-
-#: heartbeat cadence of the worker-side progress thread
-DEFAULT_HB_INTERVAL = 0.25
 
 
 def build_program(spec: dict) -> ConcurrentProgram:
@@ -86,69 +66,11 @@ def job_config(spec: dict, base: VerifierConfig, scale: float) -> VerifierConfig
     return config
 
 
-def run_job_in_child(
-    conn,
-    spec: dict,
-    config: VerifierConfig,
-    scale: float,
-    fault_plan: MemberFaultPlan | None,
-    hb_interval: float = DEFAULT_HB_INTERVAL,
-) -> None:
-    """Child-process entry point: run one job attempt, contained."""
-    # the parent resolved fault plans; the env var must not re-attach a
-    # second injector inside verify()
-    os.environ.pop(ENV_VAR, None)
-    started = time.perf_counter()
-    stop = threading.Event()
-
-    def heartbeat(solver: Solver, meter) -> None:
-        while not stop.wait(hb_interval):
-            try:
-                conn.send(
-                    (
-                        "hb",
-                        progress_payload(
-                            time.perf_counter() - started, solver, meter
-                        ),
-                    )
-                )
-            except Exception:  # pipe gone: parent killed us or moved on
-                return
-
-    try:
-        program = build_program(spec)
-        order = make_order(spec.get("order", "seq"), program)
-        solver = Solver(
-            branch_budget=int(BASE_BRANCH_BUDGET * scale),
-            node_budget=int(BASE_NODE_BUDGET * scale),
-        )
-        if fault_plan is not None and fault_plan.active:
-            solver.fault_injector = FaultInjector(fault_plan)
-        meter = attach_progress_meter(solver)
-        beat = threading.Thread(
-            target=heartbeat, args=(solver, meter), daemon=True
-        )
-        beat.start()
-        result = verify(
-            program,
-            order,
-            ConditionalCommutativity(solver),
-            config=config,
-            solver=solver,
-        )
-        stop.set()
-        conn.send(("result", result))
-    except BaseException as exc:  # noqa: BLE001 - crash containment
-        stop.set()
-        try:
-            conn.send(("crash", f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover
-            pass
+def build_job(spec: dict) -> tuple[ConcurrentProgram, PreferenceOrder]:
+    """The pool job of a spec: its program and preference order (run
+    in the worker, so a spec that fails to build is a contained crash)."""
+    program = build_program(spec)
+    return program, make_order(spec.get("order", "seq"), program)
 
 
 def result_payload(result: VerificationResult) -> dict:

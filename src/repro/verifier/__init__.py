@@ -1,12 +1,6 @@
 """The verification algorithm: Floyd/Hoare automata, Algorithm 2, CEGAR."""
 
 from .certify import certify, certify_unreduced
-from .compositional import (
-    combine_verdicts,
-    observer_threads,
-    restrict_observer,
-    verify_each_thread,
-)
 from .checkproof import CheckDeadlineExceeded, CheckOutcome, ProofChecker, UselessStateCache
 from .hoare import BOTTOM, FloydHoareAutomaton
 from .interpolate import (
@@ -30,11 +24,8 @@ from .portfolio import (
     verify_portfolio,
 )
 from .refinement import VerifierConfig, verify
-from .runtime import (
-    DegradingCommutativity,
-    RetryPolicy,
-    run_parallel_portfolio,
-)
+from .pool import DegradingCommutativity
+from .runtime import RetryPolicy, run_parallel_portfolio
 from .stats import QueryStats, RoundStats, Verdict, VerificationResult
 from .triage import (
     MemberRanker,
@@ -51,10 +42,6 @@ from .triage import (
 
 __all__ = [
     "certify",
-    "combine_verdicts",
-    "observer_threads",
-    "restrict_observer",
-    "verify_each_thread",
     "certify_unreduced",
     "CheckDeadlineExceeded",
     "CheckOutcome",

@@ -3,11 +3,11 @@
 The paper's GemCutter portfolio (§8) runs its five preference orders
 *concurrently* and stops as soon as any member's analysis terminates.
 This module provides that semantics for real: every member runs in an
-isolated ``multiprocessing`` worker, the parent enforces a hard
-per-member wall-clock watchdog (SIGKILL on overrun), and the first
-member to return a solved verdict cancels the rest.  A member that
-misbehaves — OOM, recursion blowup, unhandled exception, hard
-``os._exit``, killed by the watchdog — becomes a
+isolated forked worker (:mod:`repro.verifier.pool`), the parent
+enforces a hard per-member wall-clock watchdog (SIGKILL on overrun),
+and the first member to return a solved verdict cancels the rest.  A
+member that misbehaves — OOM, recursion blowup, unhandled exception,
+hard ``os._exit``, killed by the watchdog — becomes a
 ``Verdict.ERROR``/``TIMEOUT`` :class:`VerificationResult` carrying its
 failure reason; it can never take the harness down with it.
 
@@ -17,7 +17,8 @@ Robustness policies on top of isolation:
   UNKNOWN/TIMEOUT/ERROR are re-spawned with multiplied solver
   branch/node budgets and deadlines, a bounded number of times, with
   deterministic jittered backoff between respawns.
-* **Graceful degradation** (:class:`DegradingCommutativity`): a member
+* **Graceful degradation**
+  (:class:`~repro.verifier.pool.DegradingCommutativity`): a member
   whose conditional-commutativity checks keep ending in
   ``SolverUnknown`` falls back to syntactic commutativity for the rest
   of its run (sound — it only declares *less* commutativity) and records
@@ -35,172 +36,30 @@ harness.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import signal as signal_module
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from multiprocessing import connection as mp_connection
+from functools import partial
 from typing import Sequence
 
-from ..core.commutativity import (
-    ConditionalCommutativity,
-    SyntacticCommutativity,
-)
 from ..core.preference import PreferenceOrder
 from ..lang.program import ConcurrentProgram
-from ..logic import Solver
 
 # the retry policy generalized out of this module (PR 7): it now lives
 # with the other service policies; re-exported here so
 # ``repro.verifier.RetryPolicy`` remains the stable import path
 from ..service.policy import RetryPolicy
-from .faults import ENV_VAR, FaultInjector, FaultPlan, MemberFaultPlan
-from .refinement import VerifierConfig, verify
+from . import pool
+from .faults import FaultPlan
+from .refinement import VerifierConfig
 from .stats import Verdict, VerificationResult
 from .triage import (
-    attach_progress_meter,
     ladder_stages,
     plan_portfolio,
     progress_dominated,
-    progress_payload,
     record_outcome,
 )
-
-#: mirrors of Solver.__init__'s defaults — the base the retry policy's
-#: budget escalation multiplies
-BASE_BRANCH_BUDGET = 400
-BASE_NODE_BUDGET = 200_000
-
-#: unknown-fallbacks threshold after which a member degrades to
-#: syntactic commutativity (None disables degradation)
-DEFAULT_DEGRADE_AFTER = 25
-
-#: cadence of the worker→parent progress heartbeat (the service's
-#: heartbeat plumbing, generalized into :mod:`repro.verifier.triage`)
-HB_INTERVAL = 0.25
-
-
-class DegradingCommutativity(ConditionalCommutativity):
-    """Conditional commutativity with a syntactic-only fallback mode.
-
-    Once ``stats.unknown_fallbacks`` reaches *degrade_after*, every
-    further question is answered by the syntactic check alone: no more
-    solver queries, no more give-ups.  Sound by construction — the
-    syntactic relation is a subset of the conditional one — and recorded
-    in :attr:`degraded` / :attr:`degraded_after_queries` so results can
-    report it.
-    """
-
-    def __init__(
-        self,
-        solver: Solver | None = None,
-        *,
-        memoize: bool = True,
-        degrade_after: int | None = DEFAULT_DEGRADE_AFTER,
-    ) -> None:
-        super().__init__(solver, memoize=memoize)
-        self.degrade_after = degrade_after
-        self.degraded = False
-        self.degraded_after_queries: int | None = None
-        self._syntactic_fallback = SyntacticCommutativity()
-
-    def _maybe_degrade(self) -> None:
-        if (
-            not self.degraded
-            and self.degrade_after is not None
-            and self.stats.unknown_fallbacks >= self.degrade_after
-        ):
-            self.degraded = True
-            self.degraded_after_queries = self.stats.queries
-
-    def _degraded_answer(self, a, b) -> bool:
-        self.stats.queries += 1
-        if self._syntactic_fallback.commute(a, b):
-            self.stats.syntactic_hits += 1
-            return True
-        return False
-
-    def commute(self, a, b) -> bool:
-        if self.degraded:
-            return self._degraded_answer(a, b)
-        result = super().commute(a, b)
-        self._maybe_degrade()
-        return result
-
-    def commute_under(self, phi, a, b) -> bool:
-        if self.degraded:
-            return self._degraded_answer(a, b)
-        result = super().commute_under(phi, a, b)
-        self._maybe_degrade()
-        return result
-
-
-def _member_worker(
-    conn,
-    program: ConcurrentProgram,
-    order: PreferenceOrder,
-    config: VerifierConfig,
-    solver_kwargs: dict,
-    fault_plan: MemberFaultPlan | None,
-    degrade_after: int | None,
-) -> None:
-    """Worker-process entry point: run one portfolio member, contained.
-
-    Everything short of a hard process death is turned into a message on
-    *conn*; the parent synthesizes results for the rest.
-    """
-    # the parent resolved fault plans already; don't let the env var
-    # re-attach a second injector inside verify()
-    os.environ.pop(ENV_VAR, None)
-    try:
-        solver = Solver(**solver_kwargs)
-        if fault_plan is not None and fault_plan.active:
-            solver.fault_injector = FaultInjector(fault_plan)
-        commutativity = DegradingCommutativity(
-            solver, degrade_after=degrade_after
-        )
-        # stream progress (elapsed, solver calls, refinement rounds,
-        # states expanded) so the parent can preempt progress-dominated
-        # members before their watchdog deadline; pure observation — a
-        # dead pipe just ends the heartbeats
-        meter = attach_progress_meter(solver)
-        hb_started = time.perf_counter()
-        hb_stop = threading.Event()
-
-        def send_heartbeats() -> None:
-            while not hb_stop.wait(HB_INTERVAL):
-                try:
-                    conn.send((
-                        "hb",
-                        progress_payload(
-                            time.perf_counter() - hb_started, solver, meter
-                        ),
-                    ))
-                except Exception:
-                    return
-
-        hb_thread = threading.Thread(target=send_heartbeats, daemon=True)
-        hb_thread.start()
-        try:
-            result = verify(
-                program, order, commutativity, config=config, solver=solver
-            )
-        finally:
-            hb_stop.set()
-            hb_thread.join(timeout=1.0)
-        conn.send(("result", result))
-    except BaseException as exc:  # noqa: BLE001 - crash containment
-        try:
-            conn.send(("crash", f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover
-            pass
 
 
 @dataclass
@@ -209,8 +68,7 @@ class _Member:
 
     order: PreferenceOrder
     attempt: int = 0
-    proc: multiprocessing.Process | None = None
-    conn: object | None = None
+    worker: pool.Worker | None = None
     spawned_at: float = 0.0
     deadline: float | None = None
     next_spawn: float = 0.0
@@ -234,16 +92,7 @@ class _Member:
 
     @property
     def running(self) -> bool:
-        return self.proc is not None
-
-
-def _default_context():
-    """Prefer fork (no pickling of the program, cheap spawn); fall back
-    to the platform default where fork is unavailable."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
+        return self.worker is not None
 
 
 def run_parallel_portfolio(
@@ -254,8 +103,7 @@ def run_parallel_portfolio(
     member_timeout: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    degrade_after: int | None = DEFAULT_DEGRADE_AFTER,
-    poll_interval: float = 0.02,
+    degrade_after: int | None = pool.DEFAULT_DEGRADE_AFTER,
 ):
     """Run the standard portfolio with true parallel semantics.
 
@@ -272,7 +120,6 @@ def run_parallel_portfolio(
     retry = retry or RetryPolicy()
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
-    ctx = _default_context()
     started = time.perf_counter()
     # terms crossing the worker→parent pipe re-intern into this process's
     # table via Term.__reduce__; snapshot the counter so the winner's
@@ -313,35 +160,20 @@ def run_parallel_portfolio(
                 else None
             ),
         )
-        solver_kwargs = dict(
-            branch_budget=int(BASE_BRANCH_BUDGET * scale),
-            node_budget=int(BASE_NODE_BUDGET * scale),
-        )
-        member_faults = (
-            fault_plan.member_plan(member.name)
-            if fault_plan is not None
-            else None
-        )
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_member_worker,
-            args=(
-                child_conn,
-                program,
-                member.order,
-                worker_config,
-                solver_kwargs,
-                member_faults,
-                degrade_after,
-            ),
+        member.worker = pool.Worker(
+            partial(pool.prebuilt, program, member.order),
+            worker_config,
+            attempt=member.attempt,
             name=f"portfolio-{program.name}-{member.name}-a{member.attempt}",
-            daemon=True,
+            scale=scale,
+            fault_plan=(
+                fault_plan.member_plan(member.name)
+                if fault_plan is not None
+                else None
+            ),
+            degrade_after=degrade_after,
         )
-        proc.start()
-        child_conn.close()
-        member.proc = proc
-        member.conn = parent_conn
-        member.spawned_at = time.perf_counter()
+        member.spawned_at = member.worker.started
         if member_timeout is None:
             member.deadline = None
             return
@@ -359,15 +191,9 @@ def run_parallel_portfolio(
 
     def reap(member: _Member) -> None:
         """Tear down the current worker (if any) without recording."""
-        if member.proc is not None:
-            if member.proc.is_alive():
-                member.proc.kill()
-            member.proc.join()
-            member.proc.close()
-            member.proc = None
-        if member.conn is not None:
-            member.conn.close()
-            member.conn = None
+        if member.worker is not None:
+            member.worker.kill()
+            member.worker = None
 
     def synthesize(verdict: Verdict, member: _Member, reason: str):
         return VerificationResult(
@@ -391,58 +217,26 @@ def run_parallel_portfolio(
         else:
             member.final = result
 
-    def died(member: _Member) -> VerificationResult:
-        """The ERROR for a worker that exited without a final message."""
-        member.proc.join(timeout=1.0)
-        return synthesize(
-            Verdict.ERROR,
-            member,
-            f"worker died (exit code {member.proc.exitcode}, "
-            f"attempt {member.attempt})",
-        )
-
     def drain(member: _Member) -> None:
-        """Read the member's queued messages until its attempt ends or
-        the pipe holds no more; a pipe closed without a final message is
-        a hard death."""
-        conn = member.conn
-        while True:
-            try:
-                kind, payload = conn.recv()
-            except (EOFError, OSError):
-                finish_attempt(member, died(member))
-                return
+        """Act on what the member's worker has said: record progress,
+        and end the attempt on a result, a crash or a death."""
+        for kind, payload in member.worker.events():
             if kind == "hb":
-                # progress heartbeat: record and keep draining — the
-                # result may already be queued behind it
                 member.progress = payload
-                if not conn.poll():
-                    return
-                continue
-            if kind == "result":
+            elif kind == "result":
                 finish_attempt(member, payload)
-            else:  # "crash"
+            else:  # "crash" | "died"
                 finish_attempt(
-                    member,
-                    synthesize(
-                        Verdict.ERROR,
-                        member,
-                        f"worker crashed: {payload} "
-                        f"(attempt {member.attempt})",
-                    ),
+                    member, synthesize(Verdict.ERROR, member, payload)
                 )
-            return
 
     def cancel(member: _Member, winner_name: str) -> None:
         nonlocal preempt_count, budget_saved
-        if member.running and not member.proc.is_alive():
+        if member.running and not member.worker.alive:
             # the worker exited on its own before the win was seen: that
             # is its outcome (a crash, or a message still queued), not a
             # preemption
-            if member.conn.poll():
-                drain(member)
-            if member.running:
-                finish_attempt(member, died(member))
+            drain(member)
             if member.final is not None:
                 return
         now = time.perf_counter()
@@ -538,17 +332,17 @@ def run_parallel_portfolio(
                 ):
                     spawn(member)
 
-            conns = [m.conn for m in members if m.running]
-            if conns:
-                ready = mp_connection.wait(conns, timeout=poll_interval)
+            workers = [m.worker for m in members if m.running]
+            if workers:
+                ready = pool.wait(workers)
             else:
                 # everyone alive is waiting out a retry backoff
-                time.sleep(poll_interval)
+                time.sleep(pool.POLL_INTERVAL)
                 ready = []
 
-            by_conn = {m.conn: m for m in members if m.running}
-            for conn in ready:
-                drain(by_conn[conn])
+            by_worker = {m.worker: m for m in members if m.running}
+            for worker in ready:
+                drain(by_worker[worker])
 
             now = time.perf_counter()
             for member in members:
@@ -581,8 +375,6 @@ def run_parallel_portfolio(
                             f"(attempt {member.attempt})",
                         ),
                     )
-                elif not member.proc.is_alive() and not member.conn.poll():
-                    finish_attempt(member, died(member))
 
             # progress-based preemption: a running member far behind the
             # round leader is parked (deferred) before its watchdog

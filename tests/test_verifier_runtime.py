@@ -177,24 +177,22 @@ class TestParallelRuntime:
         assert "exit code 86" in seq.failure_reason
 
     def test_death_seen_at_cancel_is_an_error(self, monkeypatch):
-        # the wait hook hides seq's closed pipe, so its death is first
+        # the wait hook hides seq's dead worker, so its death is first
         # seen when the winner's result is in and the losers are
         # cancelled: that is still a crash, reported with its exit code,
         # not a preemption
-        from types import SimpleNamespace
+        from repro.verifier import pool
 
-        from repro.verifier import runtime
+        real_wait = pool.wait
 
-        real_wait = runtime.mp_connection.wait
-
-        def wait(conns, timeout=None):
-            ready = real_wait(conns, timeout)
-            if len(conns) == 1:
+        def wait(workers):
+            ready = real_wait(workers)
+            if len(workers) == 1:
                 return ready
-            # pipes follow member order: seq's comes first
-            return [conn for conn in ready if conn is not conns[0]]
+            # workers follow member order: seq's comes first
+            return [w for w in ready if w is not workers[0]]
 
-        monkeypatch.setattr(runtime, "mp_connection", SimpleNamespace(wait=wait))
+        monkeypatch.setattr(pool, "wait", wait)
         plan = FaultPlan.parse(self.HARD_EXIT)
         outcome = run_parallel_portfolio(
             simple(), config(triage=False), seeds=(1,), fault_plan=plan
