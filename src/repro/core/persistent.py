@@ -1,8 +1,9 @@
 """Weakly persistent membranes for concurrent programs (§7.1, Algorithm 1).
 
-``PersistentSetProvider.persistent_letters(state, ctx)`` returns, for a
+``PersistentSetProvider.persistent_mask(locations, ctx)`` returns, for a
 product state, a weakly persistent membrane M compatible with the
-preference order:
+preference order, as a letter mask (``persistent_letters`` decodes it
+to statements):
 
 * *weakly persistent* (Def. 6.1): any accepted word from the state whose
   i-th letter conflicts with M contains an earlier letter from M;
@@ -29,6 +30,8 @@ location)``, memoized.  Each active thread's adjacency is one int
 bitmask over threads; the sink is read off a Warshall closure of those
 ints (thread v is in a sink SCC iff every thread it reaches reaches v
 back).  A complete graph, e.g. one of observers only, is all active.
+The membrane is the OR of the sink threads' precomputed per-``(thread,
+location)`` letter masks.
 """
 
 from __future__ import annotations
@@ -71,6 +74,19 @@ class PersistentSetProvider:
                 if out
             }
             for t in threads
+        ]
+        # letter ids in uid order (the fast encoder's ids) and, per
+        # ``(thread, location)``, the mask of the enabled letters
+        self._letters: tuple[Statement, ...] = tuple(
+            sorted(program.alphabet(), key=_uid)
+        )
+        letter_bit = {a: 1 << n for n, a in enumerate(self._letters)}
+        self._letter_masks: list[dict[int, int]] = [
+            {
+                loc: sum(letter_bit[a] for a in stmts)
+                for loc, stmts in enabled.items()
+            }
+            for enabled in self._enabled
         ]
         self._reachable_stmts: list[dict[int, tuple[Statement, ...]]] = [
             self._thread_reachable_statements(t) for t in threads
@@ -137,33 +153,47 @@ class PersistentSetProvider:
     ) -> frozenset[Statement]:
         """CompatiblePersistentSet(q): a weakly persistent membrane.
 
-        Memoized per (state, context): the result is independent of the
-        sleep set and proof assertion, which otherwise multiply the
-        number of calls by orders of magnitude.
+        The statements of :meth:`persistent_mask`, memoized per (state,
+        context): the result is independent of the sleep set and proof
+        assertion, which otherwise multiply the number of calls by
+        orders of magnitude.
         """
         memo_key = (state, context)
         cached = self._result_cache.get(memo_key)
         if cached is not None:
             return cached
-        result = self._compute(state, context)
+        mask = self.persistent_mask(state, context)
+        letters = self._letters
+        out = []
+        while mask:
+            bit = mask & -mask
+            out.append(letters[bit.bit_length() - 1])
+            mask ^= bit
+        result = frozenset(out)
         self._result_cache[memo_key] = result
         return result
 
-    def _compute(
-        self, state: ProductState, context: Context
-    ) -> frozenset[Statement]:
+    def persistent_mask(self, locations: ProductState, context: Context) -> int:
+        """Algorithm 1 at a location vector, as a letter mask.
+
+        Bit ``n`` stands for the ``n``-th letter in uid order — the fast
+        encoder's letter ids.  Not memoized: each caller keeps one memo
+        keyed by its own state representation.
+        """
         enabled = self._enabled
-        active = [i for i, loc in enumerate(state) if loc in enabled[i]]
+        active = [i for i, loc in enumerate(locations) if loc in enabled[i]]
         if not active:
-            return frozenset()
+            return 0
         sink = active
         if len(active) > 1 and any(
             not self._observer_mask >> i & 1 for i in active
         ):
-            sink = self._sink_threads(state, context, active)
-        # copied from a set, the frozenset is sized exactly (a generator
-        # would leave it over-allocated, and every result is memoized)
-        return frozenset(set().union(*(enabled[i][state[i]] for i in sink)))
+            sink = self._sink_threads(locations, context, active)
+        masks = self._letter_masks
+        mask = 0
+        for i in sink:
+            mask |= masks[i][locations[i]]
+        return mask
 
     def _sink_threads(
         self, state: ProductState, context: Context, active: list[int]

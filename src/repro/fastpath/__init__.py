@@ -9,14 +9,16 @@ and check states are naturally packed integer tuples.  This package is
 the compiled counterpart of that stack:
 
 * :mod:`~repro.fastpath.encoder` — the compilation step: dense integer
-  statement ids (⋖-stable: sorted by uid), interned product states /
+  statement ids (⋖-stable: sorted by uid), product states as
+  mixed-radix integers over per-thread location digits, interned
   contexts / Floyd-Hoare states, preference orders as precomputed
   per-context rank arrays, letter sets ↔ int bitmasks;
 * :mod:`~repro.fastpath.pipeline` — the fast layer pipeline: per
   ``(q, ctx)`` compiled ⋖-sorted edge tables with per-edge
-  strictly-lower masks, enabled masks, and memoized membrane masks;
+  strictly-lower masks and ``q + delta`` successors, enabled masks,
+  and memoized membrane masks;
 * :mod:`~repro.fastpath.engine` — the integer worklist engine: BFS/DFS
-  over packed ``(q, φ, S, ctx)`` id tuples with the same budget,
+  over packed ``(q, φ, S, ctx)`` int tuples with the same budget,
   deadline-tick, grey-cut-taint, record, and warm-start semantics as
   the pure engine;
 * :mod:`~repro.fastpath.check` — the glue that runs one proof-check

@@ -4,13 +4,14 @@ integer engine.
 :class:`FastChecker` owns the compiled tables of one
 :class:`~repro.verifier.checkproof.ProofChecker` (one encoder + edge
 pipeline for the whole CEGAR run) and runs each proof-check round on
-:mod:`repro.fastpath.engine` over packed ``(q_id, φ_id, S_mask,
-ctx_id)`` states.  Everything that needs the rich objects — Hoare
-steps, entailment, proof-sensitive commutativity, the cross-round
-useless-state cache — goes through the encoder's decode boundary and is
-answered by the *same* caches and solver the pure path uses, so the
-answers (and with them verdicts, rounds, proofs, counterexamples, and
-per-round state counts) are bit-identical to the pure engine's.
+:mod:`repro.fastpath.engine` over packed ``(q, φ_id, S_mask,
+ctx_id)`` states, ``q`` the mixed-radix product state.  Everything
+that needs the rich objects — Hoare steps, entailment, proof-sensitive
+commutativity, the cross-round useless-state cache — goes through the
+encoder's decode boundary and is answered by the *same* caches and
+solver the pure path uses, so the answers (and with them verdicts,
+rounds, proofs, counterexamples, and per-round state counts) are
+bit-identical to the pure engine's.
 
 On top of the shared caches the fast path adds three id-keyed memos the
 pure path cannot express cheaply:
@@ -49,7 +50,7 @@ from .pipeline import FastPipeline
 #: entails-memo miss sentinel (False is a valid cached answer)
 _MISS = object()
 
-#: packed warm-map edge: (a_id, q2_id, S2_mask, ctx2_id) — the successor
+#: packed warm-map edge: (a_id, q2, S2_mask, ctx2_id) — the successor
 #: φ component is re-stepped at warm-serve time, like the pure warm map
 FastWarmEdge = tuple[int, int, int, int]
 
@@ -57,7 +58,7 @@ FastWarmEdge = tuple[int, int, int, int]
 class _FastUselessHook:
     """Adapts :class:`UselessStateCache` to packed states.
 
-    Keys are the packed reduction part ``(q_id, S_mask, ctx_id)`` with
+    Keys are the packed reduction part ``(q, S_mask, ctx_id)`` with
     the *decoded* Floyd/Hoare predicate set as the monotone dimension —
     the subset tests must compare real predicate sets.  The encoder is
     stable for the checker's lifetime and a checker runs on exactly one
@@ -96,7 +97,7 @@ class FastChecker:
         self.pipeline = FastPipeline(
             enc,
             membrane=(
-                checker._persistent.persistent_letters
+                checker._persistent.persistent_mask
                 if checker._persistent is not None
                 else None
             ),
@@ -107,8 +108,8 @@ class FastChecker:
         self._static_commute = checker._conditional is None
         self.bottom = enc.phi_id(BOTTOM)
         self._shift = enc.letter_bits
-        # goal flags per product-state id: bit 1 violation, bit 2 exit
-        self._flags: list[int] = []
+        # goal flags per flagged product state: bit 1 violation, bit 2 exit
+        self._flag_memo: dict[int, int] = {}
         # the id-keyed memos (see module docstring)
         self._step_memo: dict[int, int] = {}
         self._step_vocab = -1
@@ -194,22 +195,13 @@ class FastChecker:
             self._entails_memo[phi] = answer
         return answer
 
-    def flag(self, q_id: int) -> int:
-        """Goal flags of a product-state id (bit 1 violation, bit 2 exit)."""
-        flags = self._flags
-        n = len(flags)
-        if q_id >= n:
-            enc = self.enc
-            q_of = enc.q_of
-            exit_state = enc.exit_state
-            error_locations = enc.error_locations
-            for i in range(n, q_id + 1):
-                q = q_of(i)
-                flags.append(
-                    (2 if q == exit_state else 0)
-                    | any(q[t] == loc for t, loc in error_locations)
-                )
-        return flags[q_id]
+    def flag(self, q: int) -> int:
+        """Goal flags of a packed product state (bit 1 violation, bit 2
+        exit), memoized per flagged state."""
+        f = self._flag_memo.get(q)
+        if f is None:
+            f = self._flag_memo[q] = self.enc.goal_flags(q)
+        return f
 
     def _commute_mask(self, phi: int, a_id: int, cand: int) -> int:
         """The sleep set ``{b ∈ cand | a ↷↷_φ b}`` as a mask.
@@ -259,13 +251,13 @@ class FastChecker:
         engine never expands violation or ⊥-covered states, so no
         explicit guard is repeated here.
         """
-        q_id, phi, sleep, ctx_id = state
-        table = self.pipeline.edge_table(q_id, ctx_id)
+        q, phi, sleep, ctx_id = state
+        table = self.pipeline.edge_table(q, ctx_id)
         edges = table.edges
         if not edges:
             return []
         mem = (
-            self.pipeline.membrane_mask(q_id, ctx_id)
+            self.pipeline.membrane_mask(q, ctx_id)
             if self.use_membrane
             else None
         )

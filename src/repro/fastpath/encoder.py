@@ -10,15 +10,20 @@ representation before search:
   any width encode; ``letter_bits`` is the width of a letter id, the
   shift the fast path uses to pack ``(φ_id, a_id)`` memo keys into one
   int without collisions.
-* **product states / contexts / Floyd-Hoare states** — interned to
-  dense ids on first sight.  Interning is a bijection, so two packed
-  states are equal iff the rich tuples are: the engine's seen set,
-  warm-map exact-match rule, and per-round state counts are preserved
-  bit-for-bit.
-* **threads** — each thread's CFG compiled to ``(a_id, dst)`` edge
-  tuples per location, plus the all-exit product state and the
-  ``(thread, error location)`` pairs: expanding a product state and
-  flagging it as a goal read these tables, never the program objects.
+* **product states** — a mixed-radix integer: thread ``t``'s location
+  index is the digit ``q // stride[t] % radix[t]``.  The encoding is a
+  bijection over location vectors, so two packed states are equal iff
+  the rich tuples are: the engine's seen set, warm-map exact-match
+  rule, and per-round state counts are preserved bit-for-bit.  Python
+  ints are arbitrary-precision, so any number of threads packs.
+* **contexts / Floyd-Hoare states** — interned to dense ids on first
+  sight (same bijection argument).
+* **threads** — each thread's CFG compiled to ``(a_id, delta)`` edge
+  tuples per digit, where ``q + delta`` is the successor; plus the
+  packed all-exit state and the ``(stride, radix, digit)`` of each
+  ``assert`` observer's error location: expanding a product state and
+  flagging it as a goal read these tables and digits, never the program
+  objects or a location tuple.
 * **preference orders** — compiled to per-context rank arrays
   (``key_table``): one ``order.key`` evaluation per (context, letter),
   then O(1) array reads, plus a memoized ``advance`` table.
@@ -26,7 +31,8 @@ representation before search:
 The reverse direction (``letters_of``, ``q_of``, ``ctx_of``,
 ``phi_of``) is the decode boundary: commutativity and Hoare queries
 leave the integer world through it, counterexample traces and warm
-maps re-enter object land only at the round's edges.
+maps re-enter object land only at the round's edges.  ``q_of`` is the
+only function that builds a location tuple.
 """
 
 from __future__ import annotations
@@ -45,8 +51,8 @@ class ProgramEncoder:
     """Dense-id tables for one (program, preference order) pair.
 
     Lives for the whole verification run (all CEGAR rounds): statement
-    ids, product-state ids, and context ids depend only on the program
-    and the order; Floyd/Hoare state ids only on the frozenset of
+    ids, packed product states, and context ids depend only on the
+    program and the order; Floyd/Hoare state ids only on the frozenset of
     predicate indices (stable across vocabulary growth — old indices
     never change meaning).
     """
@@ -63,28 +69,48 @@ class ProgramEncoder:
         self.letter_id: dict[Statement, int] = {
             s: i for i, s in enumerate(letters)
         }
-        # the program, compiled per thread: ``(a_id, dst)`` edges per
-        # location (a location without outgoing edges has no entry), the
-        # all-exit product state, and the ``(thread, error location)``
-        # pairs of the ``assert`` observers
-        letter_id = self.letter_id
-        self.thread_edges: tuple[dict[int, tuple[tuple[int, int], ...]], ...] = tuple(
-            {
-                loc: tuple((letter_id[a], dst) for a, dst in out)
-                for loc, out in t.edges.items()
-                if out
-            }
-            for t in program.threads
+        # the product state, packed: thread t's location index is the
+        # digit of weight stride[t] = radix[0] * ... * radix[t-1]
+        threads = program.threads
+        self._locations: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(t.locations)) for t in threads
         )
-        self.exit_state: ProductState = tuple(t.exit for t in program.threads)
-        self.error_locations: tuple[tuple[int, int], ...] = tuple(
-            (i, t.error)
-            for i, t in enumerate(program.threads)
+        self._digit: tuple[dict[int, int], ...] = tuple(
+            {loc: d for d, loc in enumerate(locs)} for locs in self._locations
+        )
+        self.radix: tuple[int, ...] = tuple(len(locs) for locs in self._locations)
+        strides = []
+        weight = 1
+        for r in self.radix:
+            strides.append(weight)
+            weight *= r
+        self.stride: tuple[int, ...] = tuple(strides)
+        # the program, compiled per thread: ``(a_id, delta)`` edges per
+        # digit (a location without outgoing edges has an empty tuple),
+        # where ``q + delta`` moves thread t from the source to the
+        # destination location; the packed all-exit state; and the
+        # ``(stride, radix, digit)`` of each ``assert`` observer's error
+        # location
+        letter_id = self.letter_id
+        self.thread_edges: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = tuple(
+            tuple(
+                tuple(
+                    (letter_id[a], (digit[dst] - d) * stride)
+                    for a, dst in t.edges.get(loc, ())
+                )
+                for d, loc in enumerate(locs)
+            )
+            for t, locs, digit, stride in zip(
+                threads, self._locations, self._digit, self.stride
+            )
+        )
+        self.exit_q: int = self.q_id(tuple(t.exit for t in threads))
+        self.error_digits: tuple[tuple[int, int, int], ...] = tuple(
+            (self.stride[i], self.radix[i], self._digit[i][t.error])
+            for i, t in enumerate(threads)
             if t.error is not None
         )
         # interning tables: rich object -> dense id, and the decode lists
-        self._q_ids: dict[ProductState, int] = {}
-        self._q_objs: list[ProductState] = []
         self._ctx_ids: dict[Context, int] = {}
         self._ctx_objs: list[Context] = []
         self._phi_ids: dict[FhState, int] = {}
@@ -94,15 +120,14 @@ class ProgramEncoder:
         self._key_tables: list[tuple[SortKey, ...]] = []
         self._advance: dict[tuple[int, int], int] = {}
 
-    # -- interning ------------------------------------------------------------
+    # -- encoding / interning ---------------------------------------------------
 
     def q_id(self, q: ProductState) -> int:
-        i = self._q_ids.get(q)
-        if i is None:
-            i = len(self._q_objs)
-            self._q_ids[q] = i
-            self._q_objs.append(q)
-        return i
+        """The packed integer of a location vector."""
+        return sum(
+            digit[loc] * stride
+            for digit, loc, stride in zip(self._digit, q, self.stride)
+        )
 
     def ctx_id(self, ctx: Context) -> int:
         i = self._ctx_ids.get(ctx)
@@ -126,10 +151,24 @@ class ProgramEncoder:
             self._phi_objs.append(phi)
         return i
 
+    def goal_flags(self, q: int) -> int:
+        """Goal flags of a packed state, read off its digits: bit 1 if an
+        observer sits at its error location, bit 2 at the all-exit state."""
+        flags = 2 if q == self.exit_q else 0
+        for stride, radix, error in self.error_digits:
+            if q // stride % radix == error:
+                return flags | 1
+        return flags
+
     # -- decoding (the id -> object boundary) ----------------------------------
 
-    def q_of(self, q_id: int) -> ProductState:
-        return self._q_objs[q_id]
+    def q_of(self, q: int) -> ProductState:
+        """The location vector of a packed state (the only tuple build)."""
+        out = []
+        for locs, radix in zip(self._locations, self.radix):
+            q, d = divmod(q, radix)
+            out.append(locs[d])
+        return tuple(out)
 
     def ctx_of(self, ctx_id: int) -> Context:
         return self._ctx_objs[ctx_id]

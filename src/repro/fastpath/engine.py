@@ -1,7 +1,7 @@
 """The integer worklist engine: BFS/DFS over packed id tuples.
 
 A mirror of :class:`repro.automata.engine.WorklistEngine`, specialized
-to proof-check states packed as ``(q_id, φ_id, S_mask, ctx_id)`` int
+to proof-check states packed as ``(q, φ_id, S_mask, ctx_id)`` int
 tuples.  The loop structure — FIFO/stack order, seen-set dedup, budget
 check per discovery, tick-batched deadline reads, the DFS grey-cut
 taint rule, BFS record/warm-start hooks — replicates the pure engine
@@ -9,8 +9,9 @@ statement for statement, so a run visits the *same* states in the
 *same* order as the pure engine modulo the (bijective) encoding: the
 states guard compares the two bit-for-bit.
 
-What is different is what a pop costs: goal-ness is a flags-array read
-plus (for exit states) a memoized entailment bit, coverage is one int
+What is different is what a pop costs: goal-ness is a memoized read of
+the product state's digit flags plus (for exit states) a memoized
+entailment bit, coverage is one int
 compare against the interned ⊥ id, and hashing a state hashes four
 small ints instead of nested tuples and frozensets.
 
@@ -24,7 +25,8 @@ from __future__ import annotations
 import time
 from collections import deque
 
-#: packed check state: (q_id, phi_id, sleep_mask, ctx_id)
+#: packed check state: (q, phi_id, sleep_mask, ctx_id), q the
+#: mixed-radix product state
 PackedState = tuple[int, int, int, int]
 
 

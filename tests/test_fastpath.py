@@ -197,6 +197,126 @@ def test_encoder_interning_is_bijective():
     assert enc.ctx_of(enc.ctx_id(ctx)) == ctx
 
 
+# -- the packed product state: mixed-radix digits ------------------------------
+
+_PACKED_SHARED = ("x := x + 1;", "x := 0;", "y := x;", "assume x >= 0;")
+_PACKED_PRIVATE = ("p := p + 1;", "p := x;", "assume p > 0;")
+_PACKED_ASSERTS = ("assert x >= 0;", "assert y <= x;", "assert p >= 0;")
+
+
+@st.composite
+def _packed_thread(draw, index):
+    pool = _PACKED_SHARED + _PACKED_PRIVATE
+    body = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        body.insert(
+            draw(st.integers(0, len(body))), draw(st.sampled_from(_PACKED_ASSERTS))
+        )
+    if draw(st.booleans()):
+        body = [f"while (*) {{ {body[0]} }}"] + body[1:]
+    return f"thread T{index} {{ local p: int = 0; {' '.join(body)} }}"
+
+
+@st.composite
+def _packed_programs(draw):
+    """2-3 threads with loops and ``assert`` observers (error digits)."""
+    count = draw(st.integers(2, 3))
+    threads = [draw(_packed_thread(i)) for i in range(count)]
+    return parse("var x: int = 0;\nvar y: int = 0;\n" + "\n".join(threads))
+
+
+def _fast_checker(program, order=None):
+    from repro.core import ConditionalCommutativity
+    from repro.logic import Solver
+
+    checker = ProofChecker(
+        program,
+        order or ThreadUniformOrder(),
+        ConditionalCommutativity(Solver()),
+        engine="fast",
+    )
+    return checker._fast
+
+
+def _assert_packed_encoding(program, limit=None):
+    """Walk the reachable product states (BFS, up to *limit*) and check the
+    packed encoding against the program's own tuple semantics."""
+    fast = _fast_checker(program)
+    enc = fast.enc
+    ctx = enc.ctx_id(ThreadUniformOrder().initial_context())
+    start = program.initial_state()
+    seen, frontier, widest = {start}, [start], 0
+    while frontier:
+        nxt = []
+        for q in frontier:
+            packed = enc.q_id(q)
+            widest = max(widest, packed.bit_length())
+            assert enc.q_of(packed) == q
+            assert fast.flag(packed) == (
+                program.is_violation(q) | 2 * program.is_exit(q)
+            ), q
+            rows = fast.pipeline.edge_table(packed, ctx).edges
+            assert sorted(a_id for a_id, *_ in rows) == sorted(
+                enc.letter_id[a] for a, _ in program.successors(q)
+            )
+            for a_id, _bit, q2, _ctx2, _lower in rows:
+                assert enc.q_of(q2) == program.step(q, enc.letters[a_id])
+            for _a, q2 in program.successors(q):
+                if q2 not in seen and (limit is None or len(seen) < limit):
+                    seen.add(q2)
+                    nxt.append(q2)
+        frontier = nxt
+    return enc, widest
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=_packed_programs())
+def test_packed_encoding_matches_program(program):
+    _assert_packed_encoding(program)
+
+
+def test_packed_encoding_wider_than_a_machine_word():
+    """counter-sum(65): 65 two-location threads, so thread 64's digit has
+    weight 2**64 and packed states outgrow a 64-bit word."""
+    program = svcomp.counter_sum(65)
+    enc, widest = _assert_packed_encoding(program, limit=200)
+    assert widest > 64
+    assert enc.exit_q.bit_length() > 64
+    exit_state = tuple(t.exit for t in program.threads)
+    assert enc.q_of(enc.exit_q) == exit_state
+    assert _fast_checker(program).flag(enc.q_id(exit_state)) == 2
+
+
+@pytest.mark.parametrize(
+    "make_program_, order",
+    [
+        (lambda: svcomp.mutex_atomic(4), ThreadUniformOrder()),
+        (lambda: svcomp.mutex_atomic(4, correct=False), LockstepOrder(4)),
+        (lambda: parse(_BOTH_GOALS), ThreadUniformOrder()),
+        (lambda: svcomp.counter_sum(65), ThreadUniformOrder()),
+    ],
+)
+def test_persistent_mask_uses_the_encoder_letter_ids(make_program_, order):
+    """Algorithm 1's mask and its statement set agree bit for bit under the
+    encoder's letter ids, on every (state, context) pair reached."""
+    from repro.core import PersistentSetProvider, SyntacticCommutativity
+
+    program = make_program_()
+    enc = ProgramEncoder(program, order)
+    provider = PersistentSetProvider(program, order, SyntacticCommutativity())
+    start = (program.initial_state(), order.initial_context())
+    seen, frontier = {start}, [start]
+    while frontier and len(seen) < 400:
+        state, context = frontier.pop()
+        mask = provider.persistent_mask(state, context)
+        assert mask == enc.mask_of(provider.persistent_letters(state, context))
+        for a, q2 in program.successors(state):
+            pair = (q2, order.advance(context, a))
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+
+
 # -- wide alphabets: more letters than the 6-bit packed-key field ------------
 
 
