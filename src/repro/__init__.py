@@ -19,17 +19,16 @@ Quickstart::
     assert result.verdict == Verdict.CORRECT
 """
 
+from ._lazy import lazy_exports
 from .lang import ConcurrentProgram, parse, parse_program
 from .core import (
     ConditionalCommutativity,
     FullCommutativity,
     LockstepOrder,
     RandomOrder,
-    ReducedProduct,
     SemanticCommutativity,
     SyntacticCommutativity,
     ThreadUniformOrder,
-    reduce_program,
 )
 from .delta import EditPlan, diff_programs
 from .store import ProofStore, open_store
@@ -51,11 +50,9 @@ __all__ = [
     "FullCommutativity",
     "LockstepOrder",
     "RandomOrder",
-    "ReducedProduct",
     "SemanticCommutativity",
     "SyntacticCommutativity",
     "ThreadUniformOrder",
-    "reduce_program",
     "EditPlan",
     "diff_programs",
     "ProofStore",
@@ -66,4 +63,14 @@ __all__ = [
     "verify",
     "verify_portfolio",
     "__version__",
+    # loaded on first use (see _LAZY)
+    "ReducedProduct",
+    "reduce_program",
 ]
+
+_LAZY = {
+    "ReducedProduct": ".core",
+    "reduce_program": ".core",
+}
+
+lazy_exports(__name__)

@@ -18,15 +18,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .automata import count_reachable_states, materialize
-from .automata.dot import to_dot
 from .core import (
     ConditionalCommutativity,
     LockstepOrder,
     RandomOrder,
     SyntacticCommutativity,
     ThreadUniformOrder,
-    reduce_program,
 )
 from .lang import ConcurrentProgram, ParseError, parse
 from .logic import Solver
@@ -285,6 +282,10 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .automata import count_reachable_states, materialize
+    from .automata.dot import to_dot
+    from .core import reduce_program
+
     program = _read_program(args.file)
     order = _make_order(args.order, program)
     relation = SyntacticCommutativity()

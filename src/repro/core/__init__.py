@@ -1,5 +1,11 @@
-"""The paper's core: commutativity, preference orders, and reductions."""
+"""The paper's core: commutativity, preference orders, and reductions.
 
+The verifier runs the layer stack (:mod:`~repro.core.layers`,
+:mod:`~repro.core.persistent`); the standalone reduction automata and the
+trace-theory checks load on first use (``_LAZY``).
+"""
+
+from .._lazy import lazy_exports
 from .antichain import maximal_antichain, minimal_antichain
 from .commutativity import (
     CommutativityRelation,
@@ -10,19 +16,12 @@ from .commutativity import (
     SyntacticCommutativity,
     composition_equal_condition,
 )
-from .mazurkiewicz import (
-    enumerate_class,
-    equivalent,
-    foata_normal_form,
-    partition_into_classes,
-)
 from .layers import (
     ContextLayer,
     LayerStats,
     SleepLayer,
     build_reduction_layers,
 )
-from .membrane import is_membrane, is_weakly_persistent
 from .persistent import PersistentSetProvider
 from .preference import (
     LockstepOrder,
@@ -33,8 +32,6 @@ from .preference import (
     minimal_word,
     prefers,
 )
-from .reduction import MODES, ReducedProduct, reduce_program
-from .sleepset import DfaBase, SleepSetAutomaton
 
 __all__ = [
     "maximal_antichain",
@@ -46,16 +43,10 @@ __all__ = [
     "SemanticCommutativity",
     "SyntacticCommutativity",
     "composition_equal_condition",
-    "enumerate_class",
-    "equivalent",
-    "foata_normal_form",
-    "partition_into_classes",
     "ContextLayer",
     "LayerStats",
     "SleepLayer",
     "build_reduction_layers",
-    "is_membrane",
-    "is_weakly_persistent",
     "PersistentSetProvider",
     "LockstepOrder",
     "PositionalOrder",
@@ -64,9 +55,32 @@ __all__ = [
     "ThreadUniformOrder",
     "minimal_word",
     "prefers",
+    # loaded on first use (see _LAZY)
+    "enumerate_class",
+    "equivalent",
+    "foata_normal_form",
+    "partition_into_classes",
+    "is_membrane",
+    "is_weakly_persistent",
     "MODES",
     "ReducedProduct",
     "reduce_program",
     "DfaBase",
     "SleepSetAutomaton",
 ]
+
+_LAZY = {
+    "enumerate_class": ".mazurkiewicz",
+    "equivalent": ".mazurkiewicz",
+    "foata_normal_form": ".mazurkiewicz",
+    "partition_into_classes": ".mazurkiewicz",
+    "is_membrane": ".membrane",
+    "is_weakly_persistent": ".membrane",
+    "MODES": ".reduction",
+    "ReducedProduct": ".reduction",
+    "reduce_program": ".reduction",
+    "DfaBase": ".sleepset",
+    "SleepSetAutomaton": ".sleepset",
+}
+
+lazy_exports(__name__)

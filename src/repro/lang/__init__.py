@@ -1,8 +1,12 @@
-"""The mini concurrent language: AST, parser, CFGs, and program model."""
+"""The mini concurrent language: AST, parser, CFGs, and program model.
 
+The concrete interpreter (:mod:`~repro.lang.interp`) loads on first use
+(``_LAZY``).
+"""
+
+from .._lazy import lazy_exports
 from . import ast
 from .cfg import CompileError, ThreadCFG, compile_thread
-from .interp import ExplorationResult, explore_concrete, replay
 from .parser import ParseError, parse, parse_program
 from .program import ConcurrentProgram, ProductState, ProductView, instantiate
 from .statements import Statement, SymbolicAction, assign, assume, havoc, skip
@@ -12,9 +16,6 @@ __all__ = [
     "CompileError",
     "ThreadCFG",
     "compile_thread",
-    "ExplorationResult",
-    "explore_concrete",
-    "replay",
     "ParseError",
     "parse",
     "parse_program",
@@ -28,4 +29,16 @@ __all__ = [
     "assume",
     "havoc",
     "skip",
+    # loaded on first use (see _LAZY)
+    "ExplorationResult",
+    "explore_concrete",
+    "replay",
 ]
+
+_LAZY = {
+    "ExplorationResult": ".interp",
+    "explore_concrete": ".interp",
+    "replay": ".interp",
+}
+
+lazy_exports(__name__)

@@ -2,8 +2,11 @@
 
 This package replaces the SMT backend (SMTInterpol / Z3) used by the
 paper's implementation; see DESIGN.md §3 for the substitution rationale.
+The semantic simplifier (:mod:`~repro.logic.simplify`) loads on first use
+(``_LAZY``).
 """
 
+from .._lazy import lazy_exports
 from .arrays import UnsupportedArrayFormula, ackermannize, contains_arrays
 from .terms import (
     Add,
@@ -56,7 +59,6 @@ from .terms import (
     kernel_counters,
     register_kernel_cache,
 )
-from .simplify import drop_redundant_conjuncts, drop_redundant_disjuncts, simplify, simplify_all
 from .solver import Solver, SolverStats, SolverUnknown
 from .qe import eliminate_exists, eliminate_forall
 
@@ -70,7 +72,17 @@ __all__ = [
     "eliminate_exists", "eliminate_forall",
     "AVar", "Select", "Store", "avar", "select", "store",
     "UnsupportedArrayFormula", "ackermannize", "contains_arrays",
-    "drop_redundant_conjuncts", "drop_redundant_disjuncts", "simplify", "simplify_all",
     "KERNEL_COMPACT_THRESHOLD", "compact_kernel", "intern_table_size",
     "kernel_counters", "register_kernel_cache",
+    # loaded on first use (see _LAZY)
+    "drop_redundant_conjuncts", "drop_redundant_disjuncts", "simplify", "simplify_all",
 ]
+
+_LAZY = {
+    "drop_redundant_conjuncts": ".simplify",
+    "drop_redundant_disjuncts": ".simplify",
+    "simplify": ".simplify",
+    "simplify_all": ".simplify",
+}
+
+lazy_exports(__name__)

@@ -8,11 +8,13 @@ shedding, per-tenant budgets with weighted-fair scheduling, retries,
 a circuit breaker, and graceful drain.  See ``docs/service.md``.
 
 This ``__init__`` imports only :mod:`repro.service.policy` eagerly —
-the policy layer is shared with :mod:`repro.verifier.runtime`, which
-imports during ``repro.verifier`` package initialization; the server,
-client, queue, and journal load lazily on first attribute access.
+the policy layer is shared with :mod:`repro.verifier.triage`, which
+``import repro`` loads, and with the parallel runtime; the server,
+client, queue, and journal load on first attribute access (see
+:mod:`repro._lazy`).
 """
 
+from .._lazy import lazy_exports
 from .policy import (
     AdmissionPolicy,
     BreakerPolicy,
@@ -31,7 +33,7 @@ __all__ = [
     "ServicePolicies",
     "TenantPolicy",
     "TokenBudget",
-    # lazily loaded (see __getattr__)
+    # loaded on first use (see _LAZY)
     "DEFAULT_SOCKET",
     "FairQueue",
     "Job",
@@ -50,34 +52,21 @@ __all__ = [
 ]
 
 _LAZY = {
-    "DEFAULT_SOCKET": ("protocol", "DEFAULT_SOCKET"),
-    "ProtocolError": ("protocol", "ProtocolError"),
-    "JobJournal": ("journal", "JobJournal"),
-    "FairQueue": ("queue", "FairQueue"),
-    "Job": ("queue", "Job"),
-    "JobState": ("queue", "JobState"),
-    "ServiceConfig": ("server", "ServiceConfig"),
-    "VerificationService": ("server", "VerificationService"),
-    "serve": ("server", "serve"),
-    "serve_main": ("server", "serve_main"),
-    "ServiceClient": ("client", "ServiceClient"),
-    "ServiceError": ("client", "ServiceError"),
-    "wait_for_server": ("client", "wait_for_server"),
-    "job_fingerprint": ("worker", "job_fingerprint"),
-    "result_payload": ("worker", "result_payload"),
+    "DEFAULT_SOCKET": ".protocol",
+    "ProtocolError": ".protocol",
+    "JobJournal": ".journal",
+    "FairQueue": ".queue",
+    "Job": ".queue",
+    "JobState": ".queue",
+    "ServiceConfig": ".server",
+    "VerificationService": ".server",
+    "serve": ".server",
+    "serve_main": ".server",
+    "ServiceClient": ".client",
+    "ServiceError": ".client",
+    "wait_for_server": ".client",
+    "job_fingerprint": ".worker",
+    "result_payload": ".worker",
 }
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
+lazy_exports(__name__)

@@ -1,6 +1,11 @@
-"""The verification algorithm: Floyd/Hoare automata, Algorithm 2, CEGAR."""
+"""The verification algorithm: Floyd/Hoare automata, Algorithm 2, CEGAR.
 
-from .certify import certify, certify_unreduced
+The production engine (:mod:`repro.fastpath`) loads with this package,
+since every default run builds it.  The certificate checker and the
+parallel runtime load on first use (``_LAZY``).
+"""
+
+from .._lazy import lazy_exports
 from .checkproof import CheckDeadlineExceeded, CheckOutcome, ProofChecker, UselessStateCache
 from .hoare import BOTTOM, FloydHoareAutomaton
 from .interpolate import (
@@ -24,8 +29,6 @@ from .portfolio import (
     verify_portfolio,
 )
 from .refinement import VerifierConfig, verify
-from .pool import DegradingCommutativity
-from .runtime import RetryPolicy, run_parallel_portfolio
 from .stats import QueryStats, RoundStats, Verdict, VerificationResult
 from .triage import (
     MemberRanker,
@@ -41,8 +44,6 @@ from .triage import (
 )
 
 __all__ = [
-    "certify",
-    "certify_unreduced",
     "CheckDeadlineExceeded",
     "CheckOutcome",
     "ProofChecker",
@@ -63,9 +64,6 @@ __all__ = [
     "PortfolioResult",
     "standard_orders",
     "verify_portfolio",
-    "DegradingCommutativity",
-    "RetryPolicy",
-    "run_parallel_portfolio",
     "VerifierConfig",
     "verify",
     "QueryStats",
@@ -82,4 +80,20 @@ __all__ = [
     "ladder_stages",
     "plan_portfolio",
     "progress_dominated",
+    # loaded on first use (see _LAZY)
+    "certify",
+    "certify_unreduced",
+    "DegradingCommutativity",
+    "RetryPolicy",
+    "run_parallel_portfolio",
 ]
+
+_LAZY = {
+    "certify": ".certify",
+    "certify_unreduced": ".certify",
+    "DegradingCommutativity": ".pool",
+    "RetryPolicy": ".runtime",
+    "run_parallel_portfolio": ".runtime",
+}
+
+lazy_exports(__name__)

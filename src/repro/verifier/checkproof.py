@@ -313,11 +313,7 @@ class ProofChecker:
         #: dirty-frontier seeds handed back to the live search
         self.warm_start_dirty = 0
         # the integer fast path: compile the program once up front
-        self._fast = None
-        if engine == "fast":
-            from ..fastpath import FastChecker
-
-            self._fast = FastChecker(self)
+        self._fast = FastChecker(self) if engine == "fast" else None
 
     # -- engine counters ------------------------------------------------------
 
@@ -532,3 +528,8 @@ class ProofChecker:
         return CheckOutcome(
             result.trace, result.states_explored, len(assertions)
         )
+
+
+# The production engine imports this module's names, so it loads once they
+# are defined: with ``repro.verifier``, not inside the first run.
+from ..fastpath import FastChecker  # noqa: E402

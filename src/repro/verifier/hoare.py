@@ -41,6 +41,7 @@ from typing import Sequence
 from ..lang.statements import Statement
 from ..logic import FALSE, Solver, SolverUnknown, TRUE, Term, and_
 from ..logic.relevance import relevant_context
+from ..store import KIND_HOARE, pair_digest, statement_digest, term_digest
 
 FhState = frozenset[int]
 
@@ -277,8 +278,6 @@ class FloydHoareAutomaton:
         store = self._store
         skey = None
         if store is not None:
-            from ..store import KIND_HOARE, pair_digest, statement_digest, term_digest
-
             skey = pair_digest(
                 term_digest(context),
                 statement_digest(letter),

@@ -12,7 +12,6 @@ exhausted (TIMEOUT).
 from __future__ import annotations
 
 import time
-import tracemalloc
 from dataclasses import dataclass
 
 from ..automata.engine import BudgetExceeded
@@ -205,6 +204,8 @@ def _stage_clocks(ps: _PipelineState) -> None:
     ps.solver.deadline = ps.deadline
     ps.tracking = ps.config.track_memory
     if ps.tracking:
+        import tracemalloc
+
         tracemalloc.start()
 
 
@@ -302,6 +303,8 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
         if getattr(commutativity, "degraded", False):
             result.degraded = True
         if ps.tracking:
+            import tracemalloc
+
             _, peak = tracemalloc.get_traced_memory()
             result.peak_memory_bytes = peak
             tracemalloc.stop()
