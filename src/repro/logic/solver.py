@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .arrays import UnsupportedArrayFormula, ackermannize, contains_arrays
 from .atoms import LinearConstraint, atom_constraints
 from .fourier import (
     BranchBudgetExceeded,
@@ -140,10 +141,14 @@ def _lift_ite(formula: Term) -> Term:
         return formula
     if isinstance(formula, Not):
         return not_(lift_ite(formula.arg))
+    # only and_/or_ build And/Or nodes, so every live one is normal and
+    # rebuilding it from unchanged args would return it
     if isinstance(formula, And):
-        return and_(*(lift_ite(a) for a in formula.args))
+        parts = tuple(lift_ite(a) for a in formula.args)
+        return formula if parts == formula.args else and_(*parts)
     if isinstance(formula, Or):
-        return or_(*(lift_ite(a) for a in formula.args))
+        parts = tuple(lift_ite(a) for a in formula.args)
+        return formula if parts == formula.args else or_(*parts)
     if isinstance(formula, (Le, Eq)):
         sides = (formula.lhs, formula.rhs)
         for side in sides:
@@ -195,12 +200,18 @@ def _to_nnf(formula: Term, negate: bool) -> Term:
         return BoolConst(formula.value != negate)
     if isinstance(formula, Not):
         return to_nnf(formula.arg, negate=not negate)
+    # positive polarity keeps a normal And/Or whose args are unchanged
+    # (see _lift_ite); equality of the tuples is identity of the args
     if isinstance(formula, And):
         parts = tuple(to_nnf(a, negate=negate) for a in formula.args)
-        return or_(*parts) if negate else and_(*parts)
+        if negate:
+            return or_(*parts)
+        return formula if parts == formula.args else and_(*parts)
     if isinstance(formula, Or):
         parts = tuple(to_nnf(a, negate=negate) for a in formula.args)
-        return and_(*parts) if negate else or_(*parts)
+        if negate:
+            return and_(*parts)
+        return formula if parts == formula.args else or_(*parts)
     if isinstance(formula, (Le, Eq)):
         return not_(formula) if negate else formula
     raise TypeError(f"not a formula: {formula!r}")
@@ -446,8 +457,6 @@ class Solver:
         cached = self._normal_cache.get(formula.nid)
         if cached is not None:
             return cached
-        from .arrays import UnsupportedArrayFormula, ackermannize, contains_arrays
-
         expanded = formula
         if contains_arrays(expanded):
             try:

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from _weakref import _remove_dead_weakref
+from operator import attrgetter
 from typing import Mapping
 
 
@@ -68,9 +70,23 @@ class KernelStats:
 
 _stats = KernelStats()
 
-#: structural key -> canonical node; weak values, so a node lives exactly
-#: as long as something outside the table references it
-_table: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+#: intern key -> ``KeyedRef`` to the canonical node, so a node lives
+#: exactly as long as something outside the table references it.  A
+#: leaf's key is ``(tag, value)``; an inner node's is ``(tag, child
+#: nids...)``, so a lookup hashes ints in C.  A node holds its children
+#: and nids are never reused, so a key can never name a different node.
+_table: dict[tuple, weakref.KeyedRef] = {}
+
+#: the default of a table lookup: calling it returns ``None``, as a
+#: dead ref does, so a lookup is one ``get`` and one call
+_NO_REF = type(None)
+
+_NID = attrgetter("nid")
+
+
+def _drop(ref: weakref.KeyedRef) -> None:
+    """Dead-ref callback: remove the entry unless a live node replaced it."""
+    _remove_dead_weakref(_table, ref.key)
 
 #: monotone, never reused: caches keyed by ``nid`` can outlive the node
 #: they describe without ever producing a wrong hit
@@ -176,13 +192,20 @@ class Term:
         return implies(self, other)
 
 
-def _finish(node: Term, key: tuple, free: frozenset, size: int, arrays: bool) -> None:
+def _finish(
+    node: Term, key: tuple, structure: tuple, free: frozenset, size: int, arrays: bool
+) -> None:
+    """Fill in a new node and enter it in the table under *key*.
+
+    *structure* is ``(tag, *fields)``, the node's pickle fields, whose
+    hash is the node's hash.
+    """
     node.free_vars = free
     node.size = size
     node.has_arrays = arrays
-    node._hash = hash(key)
+    node._hash = hash(structure)
     node.nid = next(_nid_counter)
-    _table[key] = node
+    _table[key] = weakref.KeyedRef(node, _drop, key)
 
 
 class IntConst(Term):
@@ -194,14 +217,14 @@ class IntConst(Term):
         if value.__class__ is not int:
             value = int(value)
         key = (1, value)
-        node = _table.get(key)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
         _stats.intern_misses += 1
         node = object.__new__(cls)
         node.value = value
-        _finish(node, key, _EMPTY_VARS, 1, False)
+        _finish(node, key, key, _EMPTY_VARS, 1, False)
         return node
 
     def __reduce__(self):
@@ -220,14 +243,14 @@ class BoolConst(Term):
         if value.__class__ is not bool:
             value = bool(value)
         key = (0, value)
-        node = _table.get(key)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
         _stats.intern_misses += 1
         node = object.__new__(cls)
         node.value = value
-        _finish(node, key, _EMPTY_VARS, 1, False)
+        _finish(node, key, key, _EMPTY_VARS, 1, False)
         return node
 
     def __reduce__(self):
@@ -244,14 +267,14 @@ class Var(Term):
 
     def __new__(cls, name: str) -> "Var":
         key = (2, name)
-        node = _table.get(key)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
         _stats.intern_misses += 1
         node = object.__new__(cls)
         node.name = name
-        _finish(node, key, frozenset((name,)), 1, False)
+        _finish(node, key, key, frozenset((name,)), 1, False)
         return node
 
     def __reduce__(self):
@@ -267,8 +290,8 @@ class Add(Term):
     __slots__ = ("args",)
 
     def __new__(cls, args: tuple) -> "Add":
-        key = (3, args)
-        node = _table.get(key)
+        key = (3, *map(_NID, args))
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -280,7 +303,7 @@ class Add(Term):
         for a in args:
             size += a.size
             arrays |= a.has_arrays
-        _finish(node, key, _union_vars(args), size, arrays)
+        _finish(node, key, (3, args), _union_vars(args), size, arrays)
         return node
 
     def __reduce__(self):
@@ -298,8 +321,8 @@ class Mul(Term):
     def __new__(cls, coeff: int, arg: Term) -> "Mul":
         if coeff.__class__ is not int:
             coeff = int(coeff)
-        key = (5, coeff, arg)
-        node = _table.get(key)
+        key = (5, coeff, arg.nid)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -307,7 +330,9 @@ class Mul(Term):
         node = object.__new__(cls)
         node.coeff = coeff
         node.arg = arg
-        _finish(node, key, arg.free_vars, 1 + arg.size, arg.has_arrays)
+        _finish(
+            node, key, (5, coeff, arg), arg.free_vars, 1 + arg.size, arg.has_arrays
+        )
         return node
 
     def __reduce__(self):
@@ -323,8 +348,8 @@ class Ite(Term):
     __slots__ = ("cond", "then", "else_")
 
     def __new__(cls, cond: Term, then: Term, else_: Term) -> "Ite":
-        key = (7, cond, then, else_)
-        node = _table.get(key)
+        key = (7, cond.nid, then.nid, else_.nid)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -336,6 +361,7 @@ class Ite(Term):
         _finish(
             node,
             key,
+            (7, cond, then, else_),
             _union_vars((cond, then, else_)),
             1 + cond.size + then.size + else_.size,
             cond.has_arrays or then.has_arrays or else_.has_arrays,
@@ -356,14 +382,14 @@ class AVar(Term):
 
     def __new__(cls, name: str) -> "AVar":
         key = (8, name)
-        node = _table.get(key)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
         _stats.intern_misses += 1
         node = object.__new__(cls)
         node.name = name
-        _finish(node, key, frozenset((name,)), 1, True)
+        _finish(node, key, key, frozenset((name,)), 1, True)
         return node
 
     def __reduce__(self):
@@ -379,8 +405,8 @@ class Select(Term):
     __slots__ = ("array", "index")
 
     def __new__(cls, array: Term, index: Term) -> "Select":
-        key = (11, array, index)
-        node = _table.get(key)
+        key = (11, array.nid, index.nid)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -391,6 +417,7 @@ class Select(Term):
         _finish(
             node,
             key,
+            (11, array, index),
             _union_vars((array, index)),
             1 + array.size + index.size,
             True,
@@ -410,8 +437,8 @@ class Store(Term):
     __slots__ = ("array", "index", "value")
 
     def __new__(cls, array: Term, index: Term, value: Term) -> "Store":
-        key = (13, array, index, value)
-        node = _table.get(key)
+        key = (13, array.nid, index.nid, value.nid)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -423,6 +450,7 @@ class Store(Term):
         _finish(
             node,
             key,
+            (13, array, index, value),
             _union_vars((array, index, value)),
             1 + array.size + index.size + value.size,
             True,
@@ -443,8 +471,9 @@ class _BinAtom(Term):
     _TAG = 0
 
     def __new__(cls, lhs: Term, rhs: Term):
-        key = (cls._TAG, lhs, rhs)
-        node = _table.get(key)
+        tag = cls._TAG
+        key = (tag, lhs.nid, rhs.nid)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -455,6 +484,7 @@ class _BinAtom(Term):
         _finish(
             node,
             key,
+            (tag, lhs, rhs),
             _union_vars((lhs, rhs)),
             1 + lhs.size + rhs.size,
             lhs.has_arrays or rhs.has_arrays,
@@ -489,15 +519,15 @@ class Not(Term):
     __slots__ = ("arg",)
 
     def __new__(cls, arg: Term) -> "Not":
-        key = (23, arg)
-        node = _table.get(key)
+        key = (23, arg.nid)
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
         _stats.intern_misses += 1
         node = object.__new__(cls)
         node.arg = arg
-        _finish(node, key, arg.free_vars, 1 + arg.size, arg.has_arrays)
+        _finish(node, key, (23, arg), arg.free_vars, 1 + arg.size, arg.has_arrays)
         return node
 
     def __reduce__(self):
@@ -514,8 +544,9 @@ class _NaryBool(Term):
     _TAG = 0
 
     def __new__(cls, args: tuple):
-        key = (cls._TAG, args)
-        node = _table.get(key)
+        tag = cls._TAG
+        key = (tag, *map(_NID, args))
+        node = _table.get(key, _NO_REF)()
         if node is not None:
             _stats.intern_hits += 1
             return node
@@ -527,7 +558,7 @@ class _NaryBool(Term):
         for a in args:
             size += a.size
             arrays |= a.has_arrays
-        _finish(node, key, _union_vars(args), size, arrays)
+        _finish(node, key, (tag, args), _union_vars(args), size, arrays)
         return node
 
     def __reduce__(self):
@@ -727,6 +758,39 @@ def not_(arg: Term) -> Term:
     return Not(arg)
 
 
+def _distinct(flat: list[Term]) -> list[Term] | None:
+    """The first occurrence of each term in *flat*, in order, or ``None``
+    if some term meets its complement (``not_`` of it).
+
+    Membership is by ``nid``, since equality is identity.  No complement
+    is built to look for it: a ``Not``'s complement is its ``arg`` and a
+    constant's is the other constant; any other term's complement is a
+    ``Not`` over it, so it was kept iff the term is some kept ``Not``'s
+    ``arg``.
+    """
+    kept: list[Term] = []
+    nids: set[int] = set()
+    negated: set[int] = set()  # the args' nids of the kept Not nodes
+    for a in flat:
+        nid = a.nid
+        if nid in nids:
+            continue
+        cls = a.__class__
+        if cls is Not:
+            inner = a.arg.nid
+            if inner in nids:
+                return None
+            negated.add(inner)
+        elif cls is BoolConst:
+            if (FALSE if a.value else TRUE).nid in nids:
+                return None
+        elif nid in negated:
+            return None
+        nids.add(nid)
+        kept.append(a)
+    return kept
+
+
 def and_(*args: Term) -> Term:
     flat: list[Term] = []
     for a in args:
@@ -738,12 +802,9 @@ def and_(*args: Term) -> Term:
             return FALSE
         else:
             flat.append(a)
-    seen: list[Term] = []
-    for a in flat:
-        if a not in seen:
-            if not_(a) in seen:
-                return FALSE
-            seen.append(a)
+    seen = _distinct(flat)
+    if seen is None:
+        return FALSE
     if not seen:
         return TRUE
     if len(seen) == 1:
@@ -762,12 +823,9 @@ def or_(*args: Term) -> Term:
             return TRUE
         else:
             flat.append(a)
-    seen: list[Term] = []
-    for a in flat:
-        if a not in seen:
-            if not_(a) in seen:
-                return TRUE
-            seen.append(a)
+    seen = _distinct(flat)
+    if seen is None:
+        return TRUE
     if not seen:
         return FALSE
     if len(seen) == 1:

@@ -78,10 +78,12 @@ class TestBooleanConstructors:
     def test_and_detects_contradiction(self):
         a = le(x, y)
         assert and_(a, not_(a)) == FALSE
+        assert and_(not_(a), a) == FALSE
 
     def test_or_detects_tautology(self):
         a = le(x, y)
         assert or_(a, not_(a)) == TRUE
+        assert or_(not_(a), a) == TRUE
 
     def test_not_involution(self):
         a = le(x, y)

@@ -1,6 +1,8 @@
 """Term-kernel tests: interning identity, differential semantics against
-a structural reference, kernel counters, pickle re-interning (in-process
-and across a real portfolio worker), and the interner-leak guard.
+a structural reference, the connectives and normal forms against
+reference copies that probe complements by building them, kernel
+counters, pickle re-interning (in-process and across a real portfolio
+worker), and the interner-leak guard.
 
 The kernel invariant under test: for live nodes, structural equality is
 object identity, and every precomputed per-node attribute (``free_vars``,
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import VerifierConfig, parse, verify
 from repro.logic import (
+    FALSE,
     TRUE,
     add,
     and_,
@@ -41,6 +44,7 @@ from repro.logic import (
     var,
 )
 from repro.logic import terms as tk
+from repro.logic.solver import _find_ite, _rebuild_atom, lift_ite, to_nnf
 from repro.verifier import Verdict, run_parallel_portfolio
 
 SIMPLE = (
@@ -282,6 +286,153 @@ class TestDifferentialSemantics:
     def test_pickle_roundtrip_is_identity(self, spec):
         term = _build(spec)
         assert pickle.loads(pickle.dumps(term)) is term
+
+
+# ---------------------------------------------------------------------------
+# Connectives and normal forms against reference copies that build nodes
+# ---------------------------------------------------------------------------
+
+
+def _ref_connective(args, node_type, unit, zero):
+    """``and_``/``or_`` as a list scan probing each complement by ``not_``."""
+    flat: list = []
+    for a in args:
+        if isinstance(a, node_type):
+            flat.extend(a.args)
+        elif a is unit:
+            pass
+        elif a is zero:
+            return zero
+        else:
+            flat.append(a)
+    seen: list = []
+    for a in flat:
+        if a not in seen:
+            if not_(a) in seen:
+                return zero
+            seen.append(a)
+    if not seen:
+        return unit
+    if len(seen) == 1:
+        return seen[0]
+    return node_type(tuple(seen))
+
+
+def _ref_nnf(f, negate=False):
+    """NNF that rebuilds every connective through ``and_``/``or_``."""
+    if isinstance(f, tk.BoolConst):
+        return boolc(f.value != negate)
+    if isinstance(f, tk.Not):
+        return _ref_nnf(f.arg, not negate)
+    if isinstance(f, (tk.And, tk.Or)):
+        parts = [_ref_nnf(a, negate) for a in f.args]
+        return (or_ if isinstance(f, tk.And) == negate else and_)(*parts)
+    return not_(f) if negate else f
+
+
+def _ref_lift(f):
+    """Ite lifting that rebuilds every connective through ``and_``/``or_``."""
+    if isinstance(f, tk.BoolConst):
+        return f
+    if isinstance(f, tk.Not):
+        return not_(_ref_lift(f.arg))
+    if isinstance(f, (tk.And, tk.Or)):
+        parts = [_ref_lift(a) for a in f.args]
+        return (and_ if isinstance(f, tk.And) else or_)(*parts)
+    for side in (f.lhs, f.rhs):
+        found = _find_ite(side)
+        if found is not None:
+            cond = _ref_lift(found.cond)
+            return or_(
+                and_(cond, _ref_lift(_rebuild_atom(f, found, found.then))),
+                and_(not_(cond), _ref_lift(_rebuild_atom(f, found, found.else_))),
+            )
+    return f
+
+
+#: atoms over one variable, so duplicates and complements are frequent;
+#: the raw ``tk.Not``/``tk.And``/``tk.Or`` cases reach shapes the smart
+#: constructors never build (a Not over a constant, constants nested in
+#: an And)
+_operands = st.recursive(
+    st.one_of(
+        st.integers(0, 3).map(lambda k: le(var("cp_x"), intc(k))),
+        st.sampled_from((TRUE, FALSE)),
+    ),
+    lambda inner: st.one_of(
+        inner.map(not_),
+        inner.map(tk.Not),
+        st.lists(inner, max_size=4).map(lambda xs: and_(*xs)),
+        st.lists(inner, max_size=4).map(lambda xs: or_(*xs)),
+        st.lists(inner, min_size=2, max_size=4).map(lambda xs: tk.And(tuple(xs))),
+        st.lists(inner, min_size=2, max_size=4).map(lambda xs: tk.Or(tuple(xs))),
+    ),
+    max_leaves=8,
+)
+
+
+class TestConnectives:
+    @settings(max_examples=300, deadline=None)
+    @given(args=st.lists(_operands, max_size=6))
+    def test_and_or_match_the_list_scan(self, args):
+        assert and_(*args) is _ref_connective(args, tk.And, TRUE, FALSE)
+        assert or_(*args) is _ref_connective(args, tk.Or, FALSE, TRUE)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_bool_spec)
+    def test_normal_forms_match_full_rebuilds(self, spec):
+        term = _build(spec)
+        assert lift_ite(term) is _ref_lift(term)
+        assert to_nnf(term) is _ref_nnf(term)
+        assert to_nnf(term, negate=True) is _ref_nnf(term, True)
+
+    def test_rebuilding_a_connective_builds_no_node(self):
+        a = le(var("rb_x"), intc(1))
+        b = eq(var("rb_y"), var("rb_x"))
+        conj, disj = and_(a, b), or_(a, b)
+        before = kernel_counters()["intern_misses"]
+        assert and_(a, b) is conj
+        assert or_(a, b) is disj
+        assert kernel_counters()["intern_misses"] == before
+
+
+class TestInternTable:
+    def test_dropped_nodes_leave_the_table(self):
+        gc.collect()
+        baseline = intern_table_size()
+        node = and_(le(var("dt_x"), intc(777_001)), eq(var("dt_y"), intc(777_002)))
+        first_nid = node.nid
+        assert intern_table_size() > baseline
+        del node
+        gc.collect()
+        assert intern_table_size() == baseline
+        node = and_(le(var("dt_x"), intc(777_001)), eq(var("dt_y"), intc(777_002)))
+        assert node.nid > first_nid
+        assert and_(le(var("dt_x"), intc(777_001)), eq(var("dt_y"), intc(777_002))) is node
+
+    def test_hash_is_the_structural_hash(self):
+        x, y, a = var("sh_x"), var("sh_y"), avar("sh_a")
+        atom = le(x, y)
+        cases = [
+            (tk.BoolConst(False), 0, (False,)),
+            (tk.IntConst(123_457), 1, (123_457,)),
+            (x, 2, ("sh_x",)),
+            (tk.Add((x, y)), 3, ((x, y),)),
+            (tk.Mul(3, x), 5, (3, x)),
+            (tk.Ite(atom, x, y), 7, (atom, x, y)),
+            (a, 8, ("sh_a",)),
+            (tk.Select(a, x), 11, (a, x)),
+            (tk.Store(a, x, y), 13, (a, x, y)),
+            (atom, 17, (x, y)),
+            (tk.Eq(x, y), 19, (x, y)),
+            (tk.Not(atom), 23, (atom,)),
+            (tk.And((atom, tk.Eq(x, y))), 29, ((atom, tk.Eq(x, y)),)),
+            (tk.Or((atom, tk.Eq(x, y))), 31, ((atom, tk.Eq(x, y)),)),
+        ]
+        assert {tag for _, tag, _ in cases} == set(tk._NODE_TYPES)
+        for node, tag, fields in cases:
+            assert hash(node) == hash((tag, *fields))
+            assert node.__reduce__()[1] == (tag, *fields)
 
 
 # ---------------------------------------------------------------------------
