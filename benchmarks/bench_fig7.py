@@ -81,8 +81,7 @@ def _run():
         f"solver_hit={caches['solver_hit_rate']:.1%} "
         f"comm_hit={caches['commutativity_hit_rate']:.1%} "
         f"decisions={caches['solver_decisions']} "
-        f"fh_delta={caches['fh_step_delta_hits']} "
-        f"warm={caches['warm_start_reused']}"
+        f"fh_delta={caches['fh_step_delta_hits']}"
     )
     _emit_trajectory(wall, caches)
     return points, caches

@@ -1,17 +1,14 @@
-"""Incremental-rounds guard: delta/warm-start counters vs baseline.
+"""Incremental-rounds guard: delta-step counters vs baseline.
 
 A deterministic verification workload runs a fixed benchmark set twice —
 incremental rounds on and off — and
 
 * asserts the two modes are *equivalent* (same verdicts, rounds,
-  counterexamples, proof sizes, and per-round state counts: the warm
-  hook serves recorded successor streams verbatim, so the BFS order is
-  bit-identical), and
-* compares the incremental counters (``fh_step_delta_hits``,
-  ``warm_start_reused``, ...) against
-  ``benchmarks/incremental_baseline.json``, which is checked in.  Any
-  drift means the delta-step rule or the warm-start replay changed
-  behavior; wall-clock is printed for inspection but not asserted
+  counterexamples, proof sizes, and per-round state counts), and
+* compares the incremental counters (``fh_step_delta_hits``, ...)
+  against ``benchmarks/incremental_baseline.json``, which is checked
+  in.  Any drift means the delta-step rule changed behavior;
+  wall-clock is printed for inspection but not asserted
   (machine-dependent).
 
 To regenerate the baseline after an *intentional* change::
@@ -37,22 +34,20 @@ from repro.verifier import VerifierConfig, verify
 BASELINE_PATH = Path(__file__).resolve().parent / "incremental_baseline.json"
 
 #: small but round-rich programs: each goes through several refinement
-#: rounds, so the delta-step and warm-start paths are genuinely hit
+#: rounds, so the delta-step path is genuinely hit
 PROGRAMS = (
     "mutex-atomic(3)",
     "producer-consumer(2)",
     "flag-barrier(2)",
     "peterson",
     "dekker",
-    "producer-consumer(3)-bug",  # INCORRECT path: cex through warm rounds
+    "producer-consumer(3)-bug",  # INCORRECT path: cex after refinement
 )
 
 _COUNTER_KEYS = (
     "fh_step_delta_hits",
     "fh_step_delta_misses",
     "fh_initial_delta_hits",
-    "warm_start_reused",
-    "warm_start_dirty",
 )
 
 
@@ -102,12 +97,7 @@ def _workload() -> dict:
         # scratch mode must never take the incremental reuse paths
         # (delta *misses* — fresh computations — are counted either way)
         sqs = scratch.query_stats
-        reuse = (
-            "fh_step_delta_hits",
-            "fh_initial_delta_hits",
-            "warm_start_reused",
-            "warm_start_dirty",
-        )
+        reuse = ("fh_step_delta_hits", "fh_initial_delta_hits")
         assert all(getattr(sqs, k) == 0 for k in reuse), (
             f"{name}: non-incremental run hit an incremental reuse path"
         )
@@ -126,7 +116,7 @@ def test_incremental_counters_match_baseline(benchmark):
     baseline = json.loads(BASELINE_PATH.read_text())
     lines = [
         f"{'program':24s} {'delta+':>7s} {'delta-':>7s} {'init+':>6s}"
-        f" {'warm+':>6s} {'dirty':>6s} {'t_inc':>7s} {'t_scr':>7s}"
+        f" {'t_inc':>7s} {'t_scr':>7s}"
     ]
     for name in PROGRAMS:
         c, t = counters[name], timings[name]
@@ -134,13 +124,11 @@ def test_incremental_counters_match_baseline(benchmark):
             f"{name:24s} {c['fh_step_delta_hits']:>7d}"
             f" {c['fh_step_delta_misses']:>7d}"
             f" {c['fh_initial_delta_hits']:>6d}"
-            f" {c['warm_start_reused']:>6d} {c['warm_start_dirty']:>6d}"
             f" {t['incremental']:>6.2f}s {t['scratch']:>6.2f}s"
         )
     emit("bench_incremental", lines)
-    # the delta and warm-start paths must actually fire on this workload
+    # the delta path must actually fire on this workload
     assert sum(c["fh_step_delta_hits"] for c in counters.values()) > 0
-    assert sum(c["warm_start_reused"] for c in counters.values()) > 0
     assert counters == baseline["counters"], (
         "incremental-round counters drifted from the checked-in baseline "
         "(intentional change? regenerate with REPRO_REGEN_BASELINE=1)"

@@ -6,7 +6,6 @@ from .engine import (
     BudgetExceeded,
     DeadlineExceeded,
     EngineStats,
-    ExplorationLog,
     SearchResult,
     StateBudgetExceeded,
     WorklistEngine,
@@ -28,7 +27,6 @@ __all__ = [
     "BudgetExceeded",
     "DeadlineExceeded",
     "EngineStats",
-    "ExplorationLog",
     "SearchResult",
     "StateBudgetExceeded",
     "WorklistEngine",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterable, Protocol, TypeVar
 
 State = TypeVar("State", bound=Hashable)
@@ -81,24 +81,6 @@ class EngineStats:
 
     states_explored: int = 0
     deadline_ticks: int = 0  # wall-clock reads performed (batched)
-    # warm-started BFS runs only: pops served from the warm hook vs
-    # pops that fell through to a live goal-check + expansion
-    warm_hits: int = 0
-    warm_misses: int = 0
-
-
-@dataclass
-class ExplorationLog:
-    """What a recorded BFS run saw — the raw material for a warm start.
-
-    ``edges`` maps every *expanded* state to its full generated edge
-    list, including edges into already-seen states (a replay needs the
-    complete successor relation, not just the discovery tree).  States
-    in the seen set but absent from ``edges`` were discovered without
-    being expanded (covered, goal, or still queued at the stop).
-    """
-
-    edges: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -114,8 +96,6 @@ class SearchResult(Generic[State, Letter]):
     trace: tuple[Letter, ...] | None
     seen: set[State]
     stats: EngineStats
-    #: present when the engine ran with ``record=True`` (BFS only)
-    log: ExplorationLog | None = None
 
     @property
     def states_explored(self) -> int:
@@ -148,17 +128,6 @@ class WorklistEngine(Generic[State, Letter]):
         The goal predicate is still evaluated first.
     useless:
         DFS-only :class:`UselessStateHook`; ignored under BFS.
-    warm:
-        BFS-only warm-start hook: ``state -> list of (letter, successor)
-        | None``.  A popped state for which it returns a list is served
-        those successors *verbatim* — no goal check, no cover check, no
-        live successor call.  Sound exactly when the hook only answers
-        for states known (from a previous recorded run) to be neither a
-        goal nor covered with an unchanged successor list; the BFS
-        queue order — and therefore the discovered counterexample — is
-        bit-identical to a cold run, because the successor streams are.
-        The producer is the proof checker's same-run warm start (the
-        previous round's recorded edges).
     """
 
     def __init__(
@@ -176,15 +145,11 @@ class WorklistEngine(Generic[State, Letter]):
         should_expand: Callable[[State], bool] | None = None,
         on_edge: Callable[[State, Letter, State], None] | None = None,
         useless: UselessStateHook | None = None,
-        record: bool = False,
-        warm: Callable[[State], "list[tuple[Letter, State]] | None"] | None = None,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown search strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if warm is not None and strategy != "bfs":
-            raise ValueError("warm-start hook is only supported for bfs")
         self.successors = successors
         self.strategy = strategy
         self.max_states = max_states
@@ -197,10 +162,6 @@ class WorklistEngine(Generic[State, Letter]):
         self.should_expand = should_expand
         self.on_edge = on_edge
         self.useless = useless
-        #: collect an :class:`ExplorationLog` (BFS only); off by default
-        #: so the recording bookkeeping costs nothing on the plain path
-        self.record = record
-        self.warm = warm
         self.stats = EngineStats()
 
     # -- shared plumbing ----------------------------------------------------
@@ -235,8 +196,6 @@ class WorklistEngine(Generic[State, Letter]):
         discover = self.on_discover
         expand = self.should_expand
         on_edge = self.on_edge
-        warm = self.warm
-        log = ExplorationLog() if self.record else None
         seen: set[State] = {initial}
         if discover is not None:
             discover(initial)
@@ -248,28 +207,13 @@ class WorklistEngine(Generic[State, Letter]):
             ticks += 1
             if ticks % self.tick_interval == 0:
                 self._check_deadline()
-            cached = warm(state) if warm is not None else None
-            if cached is None:
-                if warm is not None:
-                    self.stats.warm_misses += 1
-                if goal is not None and goal(state):
-                    return self._finish(state, _trace_to(parent, state), seen, log)
-                if expand is not None and not expand(state):
-                    continue
-                successors: Iterable[tuple[Letter, State]] = self.successors(state)
-            else:
-                # warm-served state: known from the recorded run to be
-                # neither a goal nor covered, successor list verbatim
-                self.stats.warm_hits += 1
-                successors = cached
-            edges: list[tuple[Letter, State]] | None = (
-                [] if log is not None else None
-            )
-            for a, nxt in successors:
+            if goal is not None and goal(state):
+                return self._finish(state, _trace_to(parent, state), seen)
+            if expand is not None and not expand(state):
+                continue
+            for a, nxt in self.successors(state):
                 if on_edge is not None:
                     on_edge(state, a, nxt)
-                if edges is not None:
-                    edges.append((a, nxt))
                 if nxt in seen:
                     continue
                 seen.add(nxt)
@@ -278,9 +222,7 @@ class WorklistEngine(Generic[State, Letter]):
                     discover(nxt)
                 parent[nxt] = (state, a)
                 queue.append(nxt)
-            if log is not None:
-                log.edges[state] = edges
-        return self._finish(None, None, seen, log)
+        return self._finish(None, None, seen)
 
     def _run_dfs(
         self,
@@ -349,10 +291,9 @@ class WorklistEngine(Generic[State, Letter]):
         goal_state: State | None,
         trace: tuple[Letter, ...] | None,
         seen: set[State],
-        log: ExplorationLog | None = None,
     ) -> SearchResult[State, Letter]:
         self.stats.states_explored = len(seen)
-        return SearchResult(goal_state, trace, seen, self.stats, log)
+        return SearchResult(goal_state, trace, seen, self.stats)
 
 
 def _trace_to(

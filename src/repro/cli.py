@@ -481,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--no-incremental", action="store_true",
-            help="disable incremental CEGAR rounds (delta-aware "
-                 "Floyd/Hoare steps and warm-started proof checks); "
-                 "restores bit-identical pre-incremental exploration",
+            help="disable incremental CEGAR rounds (this toggles only "
+                 "the delta-aware Floyd/Hoare step cache); restores "
+                 "bit-identical pre-incremental exploration",
         )
         p.add_argument(
             "--inject-faults", metavar="SPEC", default=None,

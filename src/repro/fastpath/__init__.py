@@ -19,8 +19,7 @@ the compiled counterpart of that stack:
   and memoized membrane masks;
 * :mod:`~repro.fastpath.engine` — the integer worklist engine: BFS/DFS
   over packed ``(q, φ, S, ctx)`` int tuples with the same budget,
-  deadline-tick, grey-cut-taint, record, and warm-start semantics as
-  the pure engine;
+  deadline-tick, and grey-cut-taint semantics as the pure engine;
 * :mod:`~repro.fastpath.check` — the glue that runs one proof-check
   round on the fast engine for :class:`~repro.verifier.checkproof.
   ProofChecker`, owning the id↔object decode boundary (commutativity

@@ -30,6 +30,12 @@ pure path cannot express cheaply:
   decided.  Monotonicity is not consulted here: the masks only memoize
   what :meth:`ProofChecker._commute` (with its subsumption cache)
   already answered, keeping the two engines' answer streams identical.
+
+Each round starts cold: no per-state record of the last round is kept
+(see :mod:`repro.verifier.checkproof` for the measured hit rates that
+retired it).  A re-expanded state is cheap anyway, because the edge
+tables, the step memo, and the commutativity masks above outlive the
+round.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from ..verifier.checkproof import (
     CheckDeadlineExceeded,
     CheckOutcome,
     UselessStateCache,
-    WARM_STATE_LIMIT,
 )
 from ..verifier.hoare import BOTTOM, FloydHoareAutomaton
 from .encoder import ProgramEncoder
@@ -49,10 +54,6 @@ from .pipeline import FastPipeline
 
 #: entails-memo miss sentinel (False is a valid cached answer)
 _MISS = object()
-
-#: packed warm-map edge: (a_id, q2, S2_mask, ctx2_id) — the successor
-#: φ component is re-stepped at warm-serve time, like the pure warm map
-FastWarmEdge = tuple[int, int, int, int]
 
 
 class _FastUselessHook:
@@ -115,8 +116,6 @@ class FastChecker:
         self._step_vocab = -1
         self._entails_memo: dict[int, bool] = {}
         self._cmask: dict[int, list[int]] = {}
-        # packed cross-round warm map (incremental bfs)
-        self._warm: "dict[PackedState, tuple[FastWarmEdge, ...] | None] | None" = None
         self._fh: FloydHoareAutomaton | None = None
         self._post = None
         #: fastpath_* counters (surfaced through ``QueryStats``)
@@ -133,8 +132,6 @@ class FastChecker:
         self.budget_error = CheckBudgetExceeded
         self.budget_message = "proof check exceeded its state budget"
         self.deadline_error = CheckDeadlineExceeded
-        self.warm: "dict[PackedState, tuple[FastWarmEdge, ...] | None] | None" = None
-        self.record = False
         self.useless: _FastUselessHook | None = None
 
     # -- vocabulary / automaton lifecycle --------------------------------------
@@ -170,7 +167,6 @@ class FastChecker:
         self._entails_memo.clear()
         if not self._static_commute:
             self._cmask.clear()
-        self._warm = None
 
     # -- the decode boundary ----------------------------------------------------
 
@@ -282,17 +278,6 @@ class FastChecker:
                 out.append((a_id, (q2, step(phi, a_id), 0, ctx2)))
         return out
 
-    def warm_expand(
-        self, state: PackedState, cached: tuple[FastWarmEdge, ...]
-    ) -> list[tuple[int, PackedState]]:
-        """Serve a clean state's recorded edges, re-stepping only φ."""
-        phi = state[1]
-        step = self.step
-        return [
-            (a_id, (q2, step(phi, a_id), sleep2, ctx2))
-            for a_id, q2, sleep2, ctx2 in cached
-        ]
-
     # -- the round ----------------------------------------------------------------
 
     def check(self, fh: FloydHoareAutomaton, pre, post) -> CheckOutcome:
@@ -314,12 +299,9 @@ class FastChecker:
             0,
             enc.ctx_id(checker.order.initial_context()),
         )
-        incremental = checker._incremental and checker.search == "bfs"
         self.stats = RoundStats()
         self.deadline = checker.deadline
         self.max_states = checker.max_states
-        self.warm = self._warm if incremental and self._warm is not None else None
-        self.record = incremental
         self.useless = (
             _FastUselessHook(checker.useless_cache, enc)
             if checker.search == "dfs" and checker.useless_cache is not None
@@ -327,17 +309,13 @@ class FastChecker:
         )
         try:
             if checker.search == "bfs":
-                trace_ids, seen, log = run_bfs(self, initial)
+                trace_ids, seen = run_bfs(self, initial)
             else:
-                trace_ids, seen, log = run_dfs(self, initial)
+                trace_ids, seen = run_dfs(self, initial)
         finally:
             stats = self.stats
             checker.engine_states_explored += stats.states_explored
             checker.engine_deadline_ticks += stats.deadline_ticks
-            checker.warm_start_reused += stats.warm_hits
-            checker.warm_start_dirty += stats.warm_misses
-        if incremental:
-            self._merge_warm(seen, log)
         letters = enc.letters
         trace = (
             tuple(letters[a_id] for a_id in trace_ids)
@@ -346,21 +324,3 @@ class FastChecker:
         )
         assertions = {state[1] for state in seen}
         return CheckOutcome(trace, len(seen), len(assertions))
-
-    def _merge_warm(self, seen, log) -> None:
-        """Fold the round's exploration into the packed warm map.
-
-        Mirrors :meth:`ProofChecker._merge_warm`: discovered-but-not-
-        expanded states map to ``None`` (dirty next round), expanded
-        states to their edges sans the successor φ components, and the
-        map is dropped wholesale past :data:`WARM_STATE_LIMIT`.
-        """
-        if len(seen) > WARM_STATE_LIMIT:
-            self._warm = None
-            return
-        warm: dict = dict.fromkeys(seen, None)
-        for state, edges in log.items():
-            warm[state] = tuple(
-                (a_id, nxt[0], nxt[2], nxt[3]) for a_id, nxt in edges
-            )
-        self._warm = warm

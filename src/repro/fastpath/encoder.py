@@ -13,8 +13,8 @@ representation before search:
 * **product states** — a mixed-radix integer: thread ``t``'s location
   index is the digit ``q // stride[t] % radix[t]``.  The encoding is a
   bijection over location vectors, so two packed states are equal iff
-  the rich tuples are: the engine's seen set, warm-map exact-match
-  rule, and per-round state counts are preserved bit-for-bit.  Python
+  the rich tuples are: the engine's seen set and per-round state
+  counts are preserved bit-for-bit.  Python
   ints are arbitrary-precision, so any number of threads packs.
 * **contexts / Floyd-Hoare states** — interned to dense ids on first
   sight (same bijection argument).
@@ -30,8 +30,8 @@ representation before search:
 
 The reverse direction (``letters_of``, ``q_of``, ``ctx_of``,
 ``phi_of``) is the decode boundary: commutativity and Hoare queries
-leave the integer world through it, counterexample traces and warm
-maps re-enter object land only at the round's edges.  ``q_of`` is the
+leave the integer world through it, counterexample traces re-enter
+object land only at the round's edges.  ``q_of`` is the
 only function that builds a location tuple.
 """
 

@@ -4,10 +4,10 @@ A mirror of :class:`repro.automata.engine.WorklistEngine`, specialized
 to proof-check states packed as ``(q, φ_id, S_mask, ctx_id)`` int
 tuples.  The loop structure — FIFO/stack order, seen-set dedup, budget
 check per discovery, tick-batched deadline reads, the DFS grey-cut
-taint rule, BFS record/warm-start hooks — replicates the pure engine
-statement for statement, so a run visits the *same* states in the
-*same* order as the pure engine modulo the (bijective) encoding: the
-states guard compares the two bit-for-bit.
+taint rule — replicates the pure engine statement for statement, so a
+run visits the *same* states in the *same* order as the pure engine
+modulo the (bijective) encoding: the states guard compares the two
+bit-for-bit.
 
 What is different is what a pop costs: goal-ness is a memoized read of
 the product state's digit flags plus (for exit states) a memoized
@@ -38,30 +38,25 @@ class RoundStats:
     pure engine's ``_finish``-only assignment.
     """
 
-    __slots__ = ("states_explored", "deadline_ticks", "warm_hits", "warm_misses")
+    __slots__ = ("states_explored", "deadline_ticks")
 
     def __init__(self) -> None:
         self.states_explored = 0
         self.deadline_ticks = 0
-        self.warm_hits = 0
-        self.warm_misses = 0
 
 
 def run_bfs(rc, initial: PackedState):
     """Breadth-first proof-check round over packed states.
 
-    Returns ``(trace_ids | None, seen, log)`` where ``trace_ids`` is the
-    letter-id path to the first uncovered state (decoded by the caller),
-    ``seen`` the packed seen set, and ``log`` the recorded successor
-    lists when ``rc.record`` is on.
+    Returns ``(trace_ids | None, seen)`` where ``trace_ids`` is the
+    letter-id path to the first uncovered state (decoded by the caller)
+    and ``seen`` the packed seen set.
     """
     stats = rc.stats
     tick_interval = rc.tick_interval
     deadline = rc.deadline
     max_states = rc.max_states
-    warm = rc.warm
     expand = rc.expand
-    warm_expand = rc.warm_expand
     flag = rc.flag
     entails = rc.entails
     bottom = rc.bottom
@@ -70,7 +65,6 @@ def run_bfs(rc, initial: PackedState):
     seen: set[PackedState] = {initial}
     parent: dict[PackedState, tuple[PackedState, int]] = {}
     queue: deque[PackedState] = deque([initial])
-    log: dict | None = {} if rc.record else None
     ticks = 0
     while queue:
         state = queue.popleft()
@@ -79,29 +73,17 @@ def run_bfs(rc, initial: PackedState):
             stats.deadline_ticks += 1
             if perf_counter() > deadline:
                 raise rc.deadline_error()
-        cached = warm.get(state) if warm is not None else None
-        if cached is None:
-            if warm is not None:
-                stats.warm_misses += 1
-            phi = state[1]
-            if phi == bottom:
-                # covered: ⊥ is never a goal and contributes no successors
-                continue
-            f = flag(state[0])
-            # goal = uncovered: a violation, or an exit state whose
-            # assertion does not entail the postcondition
-            if f and (f & 1 or not entails(phi)):
-                stats.states_explored = len(seen)
-                return _trace_to(parent, state), seen, log
-            successors = expand(state)
-        else:
-            # warm-served: known from the recorded run to be neither a
-            # goal nor covered; successor list verbatim, φ re-stepped
-            stats.warm_hits += 1
-            successors = warm_expand(state, cached)
-        if log is not None:
-            log[state] = successors
-        for a_id, nxt in successors:
+        phi = state[1]
+        if phi == bottom:
+            # covered: ⊥ is never a goal and contributes no successors
+            continue
+        f = flag(state[0])
+        # goal = uncovered: a violation, or an exit state whose
+        # assertion does not entail the postcondition
+        if f and (f & 1 or not entails(phi)):
+            stats.states_explored = len(seen)
+            return _trace_to(parent, state), seen
+        for a_id, nxt in expand(state):
             if nxt in seen:
                 continue
             seen.add(nxt)
@@ -110,7 +92,7 @@ def run_bfs(rc, initial: PackedState):
             parent[nxt] = (state, a_id)
             queue.append(nxt)
     stats.states_explored = len(seen)
-    return None, seen, log
+    return None, seen
 
 
 def run_dfs(rc, initial: PackedState):
@@ -171,7 +153,7 @@ def run_dfs(rc, initial: PackedState):
             f = flag(state[0])
             if f and (f & 1 or not entails(phi)):
                 stats.states_explored = len(seen)
-                return tuple(path), seen, None
+                return tuple(path), seen
         on_stack.add(state)
         stack.append((True, state, letter, parent))
         if phi == bottom:
@@ -179,7 +161,7 @@ def run_dfs(rc, initial: PackedState):
         for a_id, nxt in reversed(expand(state)):
             stack.append((False, nxt, a_id, state))
     stats.states_explored = len(seen)
-    return None, seen, None
+    return None, seen
 
 
 def _trace_to(

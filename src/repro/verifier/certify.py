@@ -54,7 +54,6 @@ def certify(
         mode=mode,
         proof_sensitive=proof_sensitive,
         max_states=max_states,
-        incremental=False,  # single-shot check: nothing to warm-start
     )
     fh = FloydHoareAutomaton(list(predicates), solver, incremental=False)
     outcome = checker.check(fh, program.pre, program.post)

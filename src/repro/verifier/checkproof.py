@@ -26,26 +26,16 @@ shared :class:`~repro.automata.engine.WorklistEngine`; two strategies:
   "useless state" cache of §7.2 (sound by monotonicity of
   proof-sensitive commutativity) as an engine strategy hook.
 
-Incremental rounds (warm-started checks).  Refinement only grows the
-predicate vocabulary, so between rounds a check state ⟨q, φ, S, c⟩ can
-change in exactly one way: its Floyd/Hoare component φ grows or goes ⊥
-(monotonicity, §7.2).  In incremental mode the checker records each
-round's exploration — every expanded state with its full reduced edge
-list — and feeds it back as the engine's *warm hook* at the next round:
-a popped state whose exact tuple appears in the record is **clean** (its
-φ is unchanged, so its sleep sets, membrane, and reduced edges are
-untouched — the proof-sensitive relation only reads φ) and is served its
-recorded successors verbatim, skipping the goal check, the cover check,
-and the whole reduction rule; only the successor φ components are
-re-stepped, each a delta-cache hit.  Every other state — the *dirty
-frontier*: φ changed, never expanded last round, or newly reachable —
-falls through to the live path.  Because the successor streams are
-verbatim and the queue is the same FIFO, the warm-started BFS visits
-states in *bit-identical order* to a cold run: same counterexample,
-same rounds, same proof — just without re-deriving the clean part.
-DFS keeps Algorithm 2's traversal (and the useless-state cache of
-§7.2) and profits from the delta-aware automaton only; warm starts
-are a BFS feature.
+Every round starts cold.  Only the proof grows between rounds, and a
+new predicate changes φ on nearly every check state, so a record of
+last round's expansions keyed by the exact ⟨q, φ, S, c⟩ tuple almost
+never matches: such a warm start (removed) served 3.5% of the BFS pops
+across the fig7 suite and 53 of 936 in the incremental-rounds guard,
+while recording every expanded state cost a dict store per state on
+every round.  What does carry over is keyed below the full tuple: the
+delta-aware Floyd/Hoare step cache, the commutativity subsumption
+cache, the (q, c) edge-order memo, and the fast engine's id-keyed
+memos.
 """
 
 from __future__ import annotations
@@ -72,18 +62,6 @@ from ..logic import Term
 from .hoare import FhState, FloydHoareAutomaton
 
 CheckState = tuple[ProductState, FhState, frozenset[Statement], Context]
-
-#: a recorded reduced edge: (letter, base successor, sleep set, context)
-#: — the Floyd/Hoare component is re-stepped at warm-serve time
-WarmEdge = tuple[Statement, ProductState, frozenset[Statement], Context]
-
-#: cross-round warm map: state -> its reduced edges (None: discovered
-#: but never expanded — covered, goal, or still queued at the stop)
-WarmMap = dict[CheckState, "tuple[WarmEdge, ...] | None"]
-
-#: drop the warm map beyond this many recorded states — warm-start
-#: memory must stay bounded on state-budget-sized rounds
-WARM_STATE_LIMIT = 250_000
 
 
 class CheckDeadlineExceeded(DeadlineExceeded):
@@ -254,7 +232,6 @@ class ProofChecker:
         max_states: int | None = None,
         deadline: float | None = None,
         memoize_commutativity: bool = True,
-        incremental: bool = True,
         engine: str = "pure",
     ) -> None:
         if search not in ("bfs", "dfs"):
@@ -303,23 +280,11 @@ class ProofChecker:
         #: engine counters aggregated over all rounds of this checker
         self.engine_states_explored = 0
         self.engine_deadline_ticks = 0
-        # warm-started rounds (incremental, bfs): the cross-round warm
-        # map and its counters
-        self._incremental = incremental
-        self._warm: WarmMap | None = None
         self._last_fh: FloydHoareAutomaton | None = None
-        #: warm-map states whose recorded edges were reused verbatim
-        self.warm_start_reused = 0
-        #: dirty-frontier seeds handed back to the live search
-        self.warm_start_dirty = 0
         # the integer fast path: compile the program once up front
         self._fast = FastChecker(self) if engine == "fast" else None
 
     # -- engine counters ------------------------------------------------------
-
-    @property
-    def incremental(self) -> bool:
-        return self._incremental
 
     def counters(self) -> dict[str, int]:
         """This checker's counters, named as ``QueryStats`` fields."""
@@ -328,8 +293,6 @@ class ProofChecker:
             "comm_subsumption_hits": self.commute_subsumption_hits,
             "engine_states_explored": self.engine_states_explored,
             "engine_deadline_ticks": self.engine_deadline_ticks,
-            "warm_start_reused": self.warm_start_reused,
-            "warm_start_dirty": self.warm_start_dirty,
             # (q, ctx)-memoized edge orderings: edge_sort_hits/_misses
             **vars(self._layer.context.stats),
         }
@@ -435,53 +398,6 @@ class ProofChecker:
             return not fh.entails(phi_state, post)
         return False
 
-    # -- warm-started rounds (incremental mode, bfs) --------------------------
-
-    def _warm_hook(
-        self, fh: FloydHoareAutomaton
-    ) -> Callable[[CheckState], "list[tuple[Statement, CheckState]] | None"]:
-        """The engine's warm hook over last round's recorded edges.
-
-        Answers only for *clean* states — exact tuple match against the
-        warm map, so the Floyd/Hoare component is unchanged and with it
-        the sleep sets, membrane, and reduced edge list (the
-        proof-sensitive relation only reads φ).  The recorded reduced
-        edges are served verbatim with just the successor φ components
-        re-stepped (delta-cache hits); a clean state needs no goal or
-        cover re-check, because goal-ness and coverage depend only on
-        ⟨q, φ⟩ and deterministic solver answers, and an expanded state
-        was neither last round.
-        """
-        warm = self._warm
-        step = fh.step
-
-        def hook(state: CheckState):
-            edges = warm.get(state)
-            if edges is None:  # dirty: unknown here, or never expanded
-                return None
-            phi_state = state[1]
-            return [
-                (a, (q2, step(phi_state, a), sleep2, ctx2))
-                for a, q2, sleep2, ctx2 in edges
-            ]
-
-        return hook
-
-    def _merge_warm(self, result) -> None:
-        """Fold this round's exploration into the cross-round warm map."""
-        seen = result.seen
-        if len(seen) > WARM_STATE_LIMIT:
-            self._warm = None
-            return
-        warm: WarmMap = dict.fromkeys(seen, None)
-        for state, edges in result.log.edges.items():
-            # drop the successors' φ components: they are re-stepped
-            # against next round's vocabulary at warm-serve time
-            warm[state] = tuple(
-                (a, nxt[0], nxt[2], nxt[3]) for a, nxt in edges
-            )
-        self._warm = warm
-
     # -- the check ----------------------------------------------------------------
 
     def check(self, fh: FloydHoareAutomaton, pre: Term, post: Term) -> CheckOutcome:
@@ -491,7 +407,6 @@ class ProofChecker:
         layer = ProofCoverLayer(self, fh)
         initial = layer.initial_state(pre)
         assertions: set[FhState] = set()
-        incremental = self._incremental and self.search == "bfs"
         engine: WorklistEngine = WorklistEngine(
             layer.successors,
             strategy=self.search,
@@ -507,12 +422,6 @@ class ProofChecker:
                 if self.search == "dfs" and self.useless_cache is not None
                 else None
             ),
-            record=incremental,
-            warm=(
-                self._warm_hook(fh)
-                if incremental and self._warm is not None
-                else None
-            ),
         )
         try:
             result = engine.run(
@@ -521,10 +430,6 @@ class ProofChecker:
         finally:
             self.engine_states_explored += engine.stats.states_explored
             self.engine_deadline_ticks += engine.stats.deadline_ticks
-            self.warm_start_reused += engine.stats.warm_hits
-            self.warm_start_dirty += engine.stats.warm_misses
-        if incremental:
-            self._merge_warm(result)
         return CheckOutcome(
             result.trace, result.states_explored, len(assertions)
         )

@@ -51,8 +51,9 @@ class VerifierConfig:
     #: cache (the differential test suite turns this off together with the
     #: solver/relation caches to prove memoization is semantically inert)
     memoize_commutativity: bool = True
-    #: incremental CEGAR rounds: delta-aware Floyd/Hoare transitions on
-    #: vocabulary growth plus warm-started proof checks (bfs).  Disable
+    #: incremental CEGAR rounds: this toggles only the delta-aware
+    #: Floyd/Hoare step cache, which keeps step answers across vocabulary
+    #: growth.  Proof-check rounds start cold either way.  Disable
     #: (``--no-incremental``) for bit-identical legacy behavior — the
     #: states-identity guard runs with this off.
     incremental: bool = True
@@ -266,7 +267,6 @@ def _stage_build(ps: _PipelineState) -> None:
         max_states=config.max_states_per_round,
         deadline=ps.deadline,
         memoize_commutativity=config.memoize_commutativity,
-        incremental=config.incremental,
         engine=config.engine,
     )
 

@@ -108,13 +108,11 @@ class QueryStats:
     edge_sort_hits: int = 0
     edge_sort_misses: int = 0
     useless_cache_hits: int = 0
-    # incremental rounds (delta-aware Floyd/Hoare steps + warm starts)
+    # incremental rounds (delta-aware Floyd/Hoare steps)
     fh_step_hits: int = 0
     fh_step_delta_hits: int = 0
     fh_step_delta_misses: int = 0
     fh_initial_delta_hits: int = 0
-    warm_start_reused: int = 0
-    warm_start_dirty: int = 0
     # integer fast path (repro.fastpath); all zero on the pure engine
     fastpath_rounds: int = 0
     fastpath_edge_hits: int = 0
@@ -350,8 +348,6 @@ CSV_COLUMNS = (
     "engine_deadline_ticks",
     "useless_cache_hits",
     "fh_step_delta_hits",
-    "warm_start_reused",
-    "warm_start_dirty",
     "fastpath_rounds",
     "fastpath_step_hits",
     "fastpath_commute_mask_hits",
@@ -404,9 +400,7 @@ _SUMMARY = (
     "{useless_cache_hits} useless-state hits",
     "incremental:   fh steps {fh_step_hits} hits / "
     "{fh_step_delta_hits} delta hits / {fh_step_delta_misses} misses, "
-    "{fh_initial_delta_hits} initial delta hits; "
-    "warm start {warm_start_reused} reused, "
-    "{warm_start_dirty} dirty seeds",
+    "{fh_initial_delta_hits} initial delta hits",
     "term kernel:   intern hit rate {intern_hit_rate:.1%} "
     "(hits {intern_hits}, misses {intern_misses}), "
     "table size {intern_table_size}, "

@@ -1,8 +1,11 @@
-"""Shared test helpers: tiny program builders and reduction oracles."""
+"""Shared test helpers: tiny program builders, reduction oracles, and the
+random-program strategy of the engine differentials."""
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from hypothesis import strategies as st
 
 from repro.automata import materialize
 from repro.core import (
@@ -12,9 +15,9 @@ from repro.core import (
 )
 from repro.core.preference import PreferenceOrder
 from repro.core.reduction import ReducedProduct
-from repro.lang import ConcurrentProgram, Statement
+from repro.lang import ConcurrentProgram, Statement, assign, assume
 from repro.lang.cfg import ThreadCFG
-from repro.logic import TRUE
+from repro.logic import TRUE, add, eq, ge, gt, intc, le, sub, var
 
 
 def straight_line_thread(
@@ -112,3 +115,67 @@ def check_reduction_oracle(
             assert rep == minimal_word(order, cls), (
                 "representative is not the lex(<)-minimal class member"
             )
+
+
+# -- random programs for the engine differentials ----------------------------
+
+def _small_statements(thread: int):
+    """A small pool of deterministic statements (mirrors test_properties)."""
+    return st.sampled_from(
+        [
+            assign(thread, "x", add(var("x"), intc(1))),
+            assign(thread, "x", intc(0)),
+            assign(thread, "y", sub(var("y"), intc(1))),
+            assign(thread, "y", var("x")),
+            assign(thread, "x", add(var("x"), var("y"))),
+            assume(thread, ge(var("x"), intc(0))),
+            assume(thread, gt(var("y"), var("x"))),
+        ]
+    )
+
+
+def _small_posts():
+    x, y = var("x"), var("y")
+    return st.sampled_from(
+        [
+            ge(x, intc(0)),
+            eq(x, y),
+            le(add(x, y), intc(3)),
+            gt(y, intc(-2)),
+        ]
+    )
+
+
+def small_programs(max_len: int = 3):
+    """Random 2-thread straight-line programs with a random postcondition."""
+    return st.builds(
+        lambda s0, s1, post: ConcurrentProgram(
+            name="rand",
+            threads=[
+                straight_line_thread(0, s0),
+                straight_line_thread(1, s1),
+            ],
+            pre=TRUE,
+            post=post,
+        ),
+        st.lists(_small_statements(0), min_size=1, max_size=max_len),
+        st.lists(_small_statements(1), min_size=1, max_size=max_len),
+        _small_posts(),
+    )
+
+
+def fingerprint(result):
+    """Everything the bit-identity contract pins."""
+    return (
+        result.verdict,
+        result.rounds,
+        result.proof_size,
+        result.num_predicates,
+        result.states_explored,
+        [r.states_explored for r in result.round_stats],
+        (
+            [s.label for s in result.counterexample]
+            if result.counterexample is not None
+            else None
+        ),
+    )

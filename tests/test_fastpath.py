@@ -14,76 +14,18 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_program, straight_line_thread
+from helpers import (
+    fingerprint,
+    make_program,
+    small_programs,
+    straight_line_thread,
+)
 from repro.benchmarks import svcomp
 from repro.core import LockstepOrder, ThreadUniformOrder
 from repro.fastpath import ProgramEncoder
-from repro.lang import ConcurrentProgram, assign, assume, parse
-from repro.logic import TRUE, add, eq, ge, gt, intc, le, sub, var
+from repro.lang import assign, parse
+from repro.logic import intc
 from repro.verifier import ProofChecker, VerifierConfig, verify
-
-x, y = var("x"), var("y")
-
-
-def _statements(thread: int):
-    """A small pool of deterministic statements (mirrors test_properties)."""
-    return st.sampled_from(
-        [
-            assign(thread, "x", add(var("x"), intc(1))),
-            assign(thread, "x", intc(0)),
-            assign(thread, "y", sub(var("y"), intc(1))),
-            assign(thread, "y", var("x")),
-            assign(thread, "x", add(var("x"), var("y"))),
-            assume(thread, ge(var("x"), intc(0))),
-            assume(thread, gt(var("y"), var("x"))),
-        ]
-    )
-
-
-def _posts():
-    return st.sampled_from(
-        [
-            ge(x, intc(0)),
-            eq(x, y),
-            le(add(x, y), intc(3)),
-            gt(y, intc(-2)),
-        ]
-    )
-
-
-def _programs(max_len: int = 3):
-    """Random 2-thread straight-line programs with a random postcondition."""
-    return st.builds(
-        lambda s0, s1, post: ConcurrentProgram(
-            name="rand",
-            threads=[
-                straight_line_thread(0, s0),
-                straight_line_thread(1, s1),
-            ],
-            pre=TRUE,
-            post=post,
-        ),
-        st.lists(_statements(0), min_size=1, max_size=max_len),
-        st.lists(_statements(1), min_size=1, max_size=max_len),
-        _posts(),
-    )
-
-
-def _fingerprint(result):
-    """Everything the bit-identity contract pins."""
-    return (
-        result.verdict,
-        result.rounds,
-        result.proof_size,
-        result.num_predicates,
-        result.states_explored,
-        [r.states_explored for r in result.round_stats],
-        (
-            [s.label for s in result.counterexample]
-            if result.counterexample is not None
-            else None
-        ),
-    )
 
 
 def _both_engines(program, order=None, **config_kwargs):
@@ -98,40 +40,40 @@ def _both_engines(program, order=None, **config_kwargs):
 
 
 @settings(max_examples=25, deadline=None)
-@given(program=_programs())
+@given(program=small_programs())
 def test_fast_engine_bit_identical_bfs(program):
     pure, fast = _both_engines(program, max_rounds=8)
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 @settings(max_examples=15, deadline=None)
-@given(program=_programs())
+@given(program=small_programs())
 def test_fast_engine_bit_identical_dfs(program):
     pure, fast = _both_engines(program, search="dfs", max_rounds=8)
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 @settings(max_examples=10, deadline=None)
-@given(program=_programs())
+@given(program=small_programs())
 def test_fast_engine_bit_identical_no_sleep(program):
     pure, fast = _both_engines(program, mode="none", max_rounds=8)
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 @settings(max_examples=10, deadline=None)
-@given(program=_programs())
+@given(program=small_programs())
 def test_fast_engine_bit_identical_cold_rounds(program):
     pure, fast = _both_engines(program, incremental=False, max_rounds=8)
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 @settings(max_examples=10, deadline=None)
-@given(program=_programs())
+@given(program=small_programs())
 def test_fast_engine_bit_identical_dfs_useless_cache(program):
     pure, fast = _both_engines(
         program, search="dfs", use_useless_cache=True, max_rounds=8
     )
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 def test_fast_engine_counters_surface():
@@ -155,7 +97,7 @@ def test_fast_engine_counters_surface():
 
 @settings(max_examples=50, deadline=None)
 @given(
-    program=_programs(),
+    program=small_programs(),
     data=st.data(),
 )
 def test_encoder_mask_roundtrip(program, data):
@@ -348,7 +290,7 @@ def test_wide_alphabet_fast_matches_pure():
     assert len(program.alphabet()) > 64
     pure, fast = _both_engines(program)
     assert fast.query_stats.fastpath_rounds >= 1
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 def test_wide_alphabet_memo_keys_do_not_alias():
@@ -362,7 +304,7 @@ def test_wide_alphabet_memo_keys_do_not_alias():
     assert len(program.alphabet()) == 65
     pure, fast = _both_engines(program)
     assert pure.verdict.value == "incorrect"
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 # -- config plumbing -------------------------------------------------------------
@@ -402,7 +344,7 @@ def test_all_observer_program_fast_matches_pure(correct):
     assert all(t.error is not None for t in program.threads)
     pure, fast = _both_engines(program)
     assert pure.verdict.value == ("correct" if correct else "incorrect")
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 def test_positional_order_fast_matches_pure():
@@ -412,7 +354,7 @@ def test_positional_order_fast_matches_pure():
 
     program = bluetooth(3)
     pure, fast = _both_engines(program, LockstepOrder(len(program.threads)))
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
 
 
 _BOTH_GOALS = """
@@ -446,5 +388,5 @@ def test_goal_flags_cover_violation_and_exit(monkeypatch):
     monkeypatch.setattr(FastChecker, "flag", recording_flag)
     pure, fast = _both_engines(program)
     assert pure.verdict.value == "incorrect"
-    assert _fingerprint(fast) == _fingerprint(pure)
+    assert fingerprint(fast) == fingerprint(pure)
     assert {1, 2} <= seen

@@ -67,8 +67,8 @@ CSV_TEXT = (
     "num_predicates,states_explored,time_seconds,peak_memory_bytes,"
     "solver_queries,solver_decisions,solver_hit_rate,comm_queries,"
     "comm_hit_rate,edge_sort_hit_rate,engine_deadline_ticks,"
-    "useless_cache_hits,fh_step_delta_hits,warm_start_reused,"
-    "warm_start_dirty,fastpath_rounds,fastpath_step_hits,"
+    "useless_cache_hits,fh_step_delta_hits,fastpath_rounds,"
+    "fastpath_step_hits,"
     "fastpath_commute_mask_hits,intern_hit_rate,substitute_hit_rate,"
     "reintern_count,store_hits,store_hit_rate,store_writes,"
     "service_jobs,service_retries,service_shed,service_breaker_trips,"
@@ -78,11 +78,11 @@ CSV_TEXT = (
     "triage_budget_saved_seconds,failure_reason,attempts,respawns,"
     "degraded\r\n"
     "golden,incorrect,seq,sleep,fast,3,5,7,11,1.2346,2500000,1,5,"
-    "9.0000,9,0.6842,0.4865,17,20,22,25,26,27,30,32,0.4928,0.4935,37,"
-    "42,0.4941,44,46,47,48,49,50,51,53,55,0.4954,58,59,60,61.6250,"
+    "9.0000,9,0.6842,0.4865,17,20,22,25,28,30,0.4923,0.4932,35,40,"
+    "0.4938,42,44,45,46,47,48,49,51,53,0.4952,56,57,58,59.6250,"
     '"budget, ""quoted""",2,1,1\r\n'
     "bare,correct,lockstep,combined,fast,0,0,0,0,0.0000,0,,,,,,,,,,,,,,"
-    ",,,,,,,,,,,,,,,,,,,,,1,0,0\r\n"
+    ",,,,,,,,,,,,,,,,,,,1,0,0\r\n"
 )
 
 
@@ -133,51 +133,49 @@ QUERY_STATS_DICT = {
     "fh_step_delta_hits": 22,
     "fh_step_delta_misses": 23,
     "fh_initial_delta_hits": 24,
-    "warm_start_reused": 25,
-    "warm_start_dirty": 26,
-    "fastpath_rounds": 27,
-    "fastpath_edge_hits": 28,
-    "fastpath_edge_misses": 29,
-    "fastpath_step_hits": 30,
-    "fastpath_step_misses": 31,
-    "fastpath_commute_mask_hits": 32,
-    "fastpath_commute_mask_misses": 33,
-    "intern_hits": 34,
-    "intern_misses": 35,
-    "intern_table_size": 36,
-    "reintern_count": 37,
-    "substitute_hits": 38,
-    "substitute_misses": 39,
-    "free_vars_calls": 40,
-    "kernel_compactions": 41,
-    "store_hits": 42,
-    "store_misses": 43,
-    "store_writes": 44,
-    "store_entries": 45,
-    "service_jobs": 46,
-    "service_retries": 47,
-    "service_shed": 48,
-    "service_breaker_trips": 49,
-    "delta_threads_unchanged": 50,
-    "delta_threads_edited": 51,
-    "delta_statements_edited": 52,
-    "delta_hoare_reused": 53,
-    "delta_hoare_missed": 54,
-    "delta_comm_reused": 55,
-    "delta_comm_missed": 56,
-    "digest_memo_evictions": 57,
-    "triage_ranker_hits": 58,
-    "triage_ladder_stages": 59,
-    "triage_preemptions": 60,
-    "triage_budget_saved_seconds": 61.625,
+    "fastpath_rounds": 25,
+    "fastpath_edge_hits": 26,
+    "fastpath_edge_misses": 27,
+    "fastpath_step_hits": 28,
+    "fastpath_step_misses": 29,
+    "fastpath_commute_mask_hits": 30,
+    "fastpath_commute_mask_misses": 31,
+    "intern_hits": 32,
+    "intern_misses": 33,
+    "intern_table_size": 34,
+    "reintern_count": 35,
+    "substitute_hits": 36,
+    "substitute_misses": 37,
+    "free_vars_calls": 38,
+    "kernel_compactions": 39,
+    "store_hits": 40,
+    "store_misses": 41,
+    "store_writes": 42,
+    "store_entries": 43,
+    "service_jobs": 44,
+    "service_retries": 45,
+    "service_shed": 46,
+    "service_breaker_trips": 47,
+    "delta_threads_unchanged": 48,
+    "delta_threads_edited": 49,
+    "delta_statements_edited": 50,
+    "delta_hoare_reused": 51,
+    "delta_hoare_missed": 52,
+    "delta_comm_reused": 53,
+    "delta_comm_missed": 54,
+    "digest_memo_evictions": 55,
+    "triage_ranker_hits": 56,
+    "triage_ladder_stages": 57,
+    "triage_preemptions": 58,
+    "triage_budget_saved_seconds": 59.625,
     "solver_hit_rate": 9.0,
     "commutativity_hit_rate": 0.6842,
     "edge_sort_hit_rate": 0.4865,
-    "intern_hit_rate": 0.4928,
-    "substitute_hit_rate": 0.4935,
+    "intern_hit_rate": 0.4923,
+    "substitute_hit_rate": 0.4932,
     "free_vars_hit_rate": 1.0,
-    "store_hit_rate": 0.4941,
-    "delta_fact_reuse_rate": 0.4954,
+    "store_hit_rate": 0.4938,
+    "delta_fact_reuse_rate": 0.4952,
 }
 
 
@@ -192,20 +190,20 @@ SUMMARY_ALL_ON = (
     "engine:        16 states, 17 deadline ticks,"
     " edge-sort hit rate 48.6% (hits 18, misses 19), 20 useless-state hits\n"
     "incremental:   fh steps 21 hits / 22 delta hits / 23 misses,"
-    " 24 initial delta hits; warm start 25 reused, 26 dirty seeds\n"
-    "term kernel:   intern hit rate 49.3% (hits 34, misses 35),"
-    " table size 36, substitute hit rate 49.4%,"
-    " 40 free_vars calls (precomputed), 37 re-interned\n"
-    "proof store:   hit rate 49.4% (hits 42, misses 43), 44 writes,"
-    " 45 entries on disk\n"
-    "fast path:     27 rounds, edge tables 28 hits / 29 compiled,"
-    " steps 30 hits / 31 misses, commute masks 32 hits / 33 misses\n"
-    "delta:         50 threads unchanged / 51 edited (52 statements),"
-    " fact reuse 49.5% (hoare 53/107, comm 55/111)\n"
-    "service:       46 jobs completed, 47 retries, 48 shed,"
-    " 49 breaker trips\n"
-    "triage:        58 ranker hits, 59 ladder stages, 60 preemptions,"
-    " 61.6s budget saved"
+    " 24 initial delta hits\n"
+    "term kernel:   intern hit rate 49.2% (hits 32, misses 33),"
+    " table size 34, substitute hit rate 49.3%,"
+    " 38 free_vars calls (precomputed), 35 re-interned\n"
+    "proof store:   hit rate 49.4% (hits 40, misses 41), 42 writes,"
+    " 43 entries on disk\n"
+    "fast path:     25 rounds, edge tables 26 hits / 27 compiled,"
+    " steps 28 hits / 29 misses, commute masks 30 hits / 31 misses\n"
+    "delta:         48 threads unchanged / 49 edited (50 statements),"
+    " fact reuse 49.5% (hoare 51/103, comm 53/107)\n"
+    "service:       44 jobs completed, 45 retries, 46 shed,"
+    " 47 breaker trips\n"
+    "triage:        56 ranker hits, 57 ladder stages, 58 preemptions,"
+    " 59.6s budget saved"
 )
 
 
@@ -220,12 +218,12 @@ SUMMARY_ALL_OFF = (
     "engine:        16 states, 17 deadline ticks,"
     " edge-sort hit rate 48.6% (hits 18, misses 19), 20 useless-state hits\n"
     "incremental:   fh steps 21 hits / 22 delta hits / 23 misses,"
-    " 24 initial delta hits; warm start 25 reused, 26 dirty seeds\n"
-    "term kernel:   intern hit rate 49.3% (hits 34, misses 35),"
-    " table size 36, substitute hit rate 49.4%,"
-    " 40 free_vars calls (precomputed), 37 re-interned\n"
-    "proof store:   hit rate 49.4% (hits 42, misses 43), 44 writes,"
-    " 45 entries on disk"
+    " 24 initial delta hits\n"
+    "term kernel:   intern hit rate 49.2% (hits 32, misses 33),"
+    " table size 34, substitute hit rate 49.3%,"
+    " 38 free_vars calls (precomputed), 35 re-interned\n"
+    "proof store:   hit rate 49.4% (hits 40, misses 41), 42 writes,"
+    " 43 entries on disk"
 )
 
 
@@ -240,7 +238,7 @@ SUMMARY_ZERO = (
     "engine:        0 states, 0 deadline ticks,"
     " edge-sort hit rate 0.0% (hits 0, misses 0), 0 useless-state hits\n"
     "incremental:   fh steps 0 hits / 0 delta hits / 0 misses,"
-    " 0 initial delta hits; warm start 0 reused, 0 dirty seeds\n"
+    " 0 initial delta hits\n"
     "term kernel:   intern hit rate 0.0% (hits 0, misses 0),"
     " table size 0, substitute hit rate 0.0%,"
     " 0 free_vars calls (precomputed), 0 re-interned\n"

@@ -1,6 +1,8 @@
 """Incremental CEGAR rounds: differential and unit tests.
 
-Three layers of evidence that incremental mode is semantically inert:
+Incremental mode keeps the delta-aware Floyd/Hoare step cache across
+vocabulary growth; proof-check rounds themselves start cold.  Three
+layers of evidence that it is semantically inert:
 
 * a hypothesis differential drives an incremental
   :class:`FloydHoareAutomaton` through random vocabulary-growth
@@ -9,11 +11,12 @@ Three layers of evidence that incremental mode is semantically inert:
 * full ``verify()`` runs over the mutex and bluetooth families compare
   incremental and non-incremental rounds for both search strategies —
   verdict, rounds, counterexample, proof size, vocabulary, and
-  per-round state counts must be identical (the warm hook replays
-  recorded successor streams verbatim, so the BFS order is
-  bit-identical);
-* unit tests pin the engine's warm-hook contract and the shared
-  antichain helpers.
+  per-round state counts must be identical;
+* a hypothesis differential over random programs runs the production
+  configuration (fast engine, incremental) against the coldest oracle
+  (pure engine, non-incremental) under BFS and DFS.
+
+Unit tests pin the shared antichain helpers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.engine import WorklistEngine
+from helpers import fingerprint, small_programs
 from repro.benchmarks import bluetooth, mutex
 from repro.core import maximal_antichain, minimal_antichain
 from repro.core.commutativity import ConditionalCommutativity
@@ -175,82 +178,44 @@ def test_incremental_and_scratch_verify_agree(search, name, build):
     sqs = scratch.query_stats
     assert sqs.fh_step_delta_hits == 0
     assert sqs.fh_initial_delta_hits == 0
-    assert sqs.warm_start_reused == 0
-    assert sqs.warm_start_dirty == 0
 
 
-def test_warm_start_fires_on_bfs_family():
-    """The agreement above would be vacuous if the warm path never ran."""
-    reused = delta = 0
-    for _, build in _FAMILY:
-        qs = _run(build, incremental=True, search="bfs").query_stats
-        reused += qs.warm_start_reused
-        delta += qs.fh_step_delta_hits
-    assert reused > 0
+def test_delta_steps_fire_on_bfs_family():
+    """The agreement above would be vacuous if the delta path never ran."""
+    delta = sum(
+        _run(build, incremental=True, search="bfs").query_stats.fh_step_delta_hits
+        for _, build in _FAMILY
+    )
     assert delta > 0
 
 
-def test_dfs_keeps_delta_steps_but_no_warm_start():
+def test_dfs_keeps_delta_steps():
     qs = _run(mutex.dekker, incremental=True, search="dfs").query_stats
-    # warm-started checks are bfs-only; delta FH steps apply either way
-    assert qs.warm_start_reused == 0
     assert qs.fh_step_delta_hits > 0
 
 
-# -- engine warm-hook contract ----------------------------------------------
-
-_GRAPH = {
-    0: [("a", 1), ("b", 2)],
-    1: [("c", 3)],
-    2: [("c", 3), ("d", 4)],
-    3: [],
-    4: [],
-}
+# -- production configuration vs the coldest oracle --------------------------
 
 
-def test_warm_hook_rejects_dfs():
-    with pytest.raises(ValueError):
-        WorklistEngine(
-            _GRAPH.__getitem__, strategy="dfs", warm=lambda s: None
-        )
-
-
-def test_recorded_run_then_warm_replay_is_identical():
-    cold = WorklistEngine(_GRAPH.__getitem__, record=True)
-    cold_result = cold.run(0)
-    assert cold_result.log is not None
-    assert set(cold_result.log.edges) == set(_GRAPH)
-
-    def broken(state):
-        raise AssertionError(f"live successors consulted for {state}")
-
-    warm = WorklistEngine(broken, warm=cold_result.log.edges.get)
-    warm_result = warm.run(0)
-    assert warm_result.seen == cold_result.seen
-    assert warm.stats.warm_hits == len(_GRAPH)
-    assert warm.stats.warm_misses == 0
-
-
-def test_warm_miss_falls_through_to_live_successors():
-    cold = WorklistEngine(_GRAPH.__getitem__, record=True)
-    log = cold.run(0).log
-    partial = dict(log.edges)
-    del partial[2]  # a dirty state: must be re-expanded live
-    warm = WorklistEngine(_GRAPH.__getitem__, warm=partial.get)
-    result = warm.run(0)
-    assert result.seen == set(_GRAPH)
-    assert warm.stats.warm_misses == 1
-    assert warm.stats.warm_hits == len(_GRAPH) - 1
-
-
-def test_warm_served_states_skip_the_goal_check():
-    # the hook's contract: answered states are known not to be goals, so
-    # the engine must not even evaluate the predicate on them
-    cold = WorklistEngine(_GRAPH.__getitem__, record=True)
-    log = cold.run(0).log
-    warm = WorklistEngine(_GRAPH.__getitem__, warm=log.edges.get)
-    result = warm.run(0, goal=lambda s: s == 2)
-    assert result.goal_state is None
+@pytest.mark.parametrize("search", ["bfs", "dfs"])
+@settings(max_examples=15, deadline=None)
+@given(program=small_programs())
+def test_production_matches_cold_pure_oracle(search, program):
+    """Fast engine with incremental rounds against the pure engine with
+    nothing carried across rounds but the proof."""
+    production = verify(
+        program,
+        config=VerifierConfig(
+            engine="fast", incremental=True, search=search, max_rounds=8
+        ),
+    )
+    oracle = verify(
+        program,
+        config=VerifierConfig(
+            engine="pure", incremental=False, search=search, max_rounds=8
+        ),
+    )
+    assert fingerprint(production) == fingerprint(oracle)
 
 
 # -- shared antichain helpers -----------------------------------------------
