@@ -7,12 +7,15 @@ different proof sizes.  We regenerate the same series at laptop scale
 (2–4 threads by default, 2–6 with REPRO_FULL=1).
 """
 
+import os
+
 from repro import VerifierConfig, verify
 from repro.benchmarks import bluetooth
 from repro.core import LockstepOrder, RandomOrder, ThreadUniformOrder
 from repro.core.commutativity import ConditionalCommutativity
 from repro.harness import emit, emit_json, full_scale, round_budget, time_budget
 from repro.logic import Solver
+from repro.verifier.faults import ENV_VAR as FAULTS_ENV
 
 ORDERS = ("seq", "lockstep", "rand(1)", "rand(2)", "rand(3)")
 
@@ -60,8 +63,13 @@ def test_fig1c_proof_size_over_threads(benchmark):
     lines.append("")
     lines.append("Paper shape: proof size varies strongly with the order;")
     lines.append("no single order dominates across instances.")
-    emit("fig1c", lines)
-    emit_json("fig1c", rows)
+    if os.environ.get(FAULTS_ENV):
+        # a fault-injection pass checks that no verdict flips; the
+        # instances it loses are not the figure, so the record stays
+        print("\n".join(lines))
+    else:
+        emit("fig1c", lines)
+        emit_json("fig1c", rows)
     solved = [row[o] for row in rows for o in ORDERS if row[o] is not None]
     assert solved, "no bluetooth instance solved"
     # the qualitative claim: different orders give different proof sizes

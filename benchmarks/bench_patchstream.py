@@ -22,7 +22,9 @@ baseline's facts.  All runs use the default (fast) engine.  The
 ``delta_*`` counters are compared against
 ``benchmarks/patchstream_baseline.json`` (checked in) with a small
 per-counter tolerance; drift means the diff classifier or the store
-rekeying changed behavior.
+rekeying changed behavior.  The tracked table shows the pinned
+counters; the observed ones, the reuse rates and the wall times go to
+the git-ignored ``benchmarks/results/timings/``.
 
 To regenerate the baseline after an *intentional* change::
 
@@ -40,7 +42,7 @@ from pathlib import Path
 
 from repro.core.commutativity import ConditionalCommutativity
 from repro.core.preference import ThreadUniformOrder
-from repro.harness import atomic_write_text, emit
+from repro.harness import atomic_write_text, emit, emit_timings
 from repro.lang import parse
 from repro.logic import Solver
 from repro.store import program_digest, reset_store_registry
@@ -226,6 +228,12 @@ def _assert_close(observed: dict, pinned: dict) -> None:
             )
 
 
+def _reuse_row(key: str, c: dict) -> str:
+    hoare = f"{c['delta_hoare_reused']}/{c['delta_hoare_reused'] + c['delta_hoare_missed']}"
+    comm = f"{c['delta_comm_reused']}/{c['delta_comm_reused'] + c['delta_comm_missed']}"
+    return f"{key:24s} {hoare:>9s} {comm:>9s}"
+
+
 def test_patchstream_counters_match_baseline(benchmark):
     observed = benchmark.pedantic(_workload, rounds=1, iterations=1)
     counters, rates, timings = (
@@ -236,17 +244,21 @@ def test_patchstream_counters_match_baseline(benchmark):
             BASELINE_PATH, json.dumps(counters, indent=2) + "\n"
         )
     baseline = json.loads(BASELINE_PATH.read_text())
-    lines = [
+    # the tracked table shows the pinned counters, which the run matches
+    # within the tolerance; the observed ones go with the wall times
+    lines = [f"{'scenario':24s} {'hoare':>9s} {'comm':>9s}"]
+    walls = [
         f"{'scenario':24s} {'hoare':>9s} {'comm':>9s} {'reuse':>6s}"
         f" {'t_cold':>7s} {'t_warm':>7s}"
     ]
     for key, c in counters.items():
         t = timings[key]
-        hoare = f"{c['delta_hoare_reused']}/{c['delta_hoare_reused'] + c['delta_hoare_missed']}"
-        comm = f"{c['delta_comm_reused']}/{c['delta_comm_reused'] + c['delta_comm_missed']}"
-        lines.append(
-            f"{key:24s} {hoare:>9s} {comm:>9s} {rates[key]:>5.0%}"
-            f" {t['cold']:>6.2f}s {t['warm']:>6.2f}s"
+        lines.append(_reuse_row(key, baseline[key]))
+        walls.append(
+            _reuse_row(key, c)
+            + f" {rates[key]:>5.0%} {t['cold']:>6.2f}s {t['warm']:>6.2f}s"
         )
+    lines.append(f"(pinned; every run within ±{_COUNTER_TOLERANCE})")
     emit("bench_patchstream", lines)
+    emit_timings("bench_patchstream", walls)
     _assert_close(counters, baseline)

@@ -18,7 +18,8 @@ Two workloads against a real ``repro serve`` subprocess:
   ``done``) and zero wrong verdicts (each result fingerprint is
   bit-identical to a direct in-process ``verify()`` of the same
   program), while throughput and p50/p95/p99 latency are reported
-  along with shed/retry/breaker counters.
+  (in the git-ignored ``benchmarks/results/timings/``) along with
+  shed/retry/breaker counters.
 
 To regenerate the smoke baseline after an *intentional* change::
 
@@ -47,7 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.benchmarks import by_name  # noqa: E402
 from repro.core import ConditionalCommutativity, ThreadUniformOrder  # noqa: E402
-from repro.harness import atomic_write_text, emit  # noqa: E402
+from repro.harness import atomic_write_text, emit, emit_timings  # noqa: E402
 from repro.logic import Solver  # noqa: E402
 from repro.service.client import wait_for_server  # noqa: E402
 from repro.service.worker import job_fingerprint  # noqa: E402
@@ -260,13 +261,15 @@ def report(tag: str, run: dict) -> None:
         f"{counters['retries']} retries, "
         f"{counters['breaker_trips']} breaker trips",
         f"verdicts: {counters['verdicts']}",
+    ]
+    emit(tag, lines)
+    emit_timings(tag, [
         f"throughput: {done / run['wall']:.1f} jobs/s "
         f"({run['wall']:.2f}s wall)",
         f"latency: p50 {percentile(lats, 0.50):.3f}s  "
         f"p95 {percentile(lats, 0.95):.3f}s  "
         f"p99 {percentile(lats, 0.99):.3f}s",
-    ]
-    emit(tag, lines)
+    ])
 
 
 def smoke_workload(tmp: Path) -> dict:

@@ -19,9 +19,10 @@ reaches the store depends on whether a weakly-interned term survived
 to be found in an in-memory cache, and that is garbage-collection
 timing — content digests keep the *entries* identical, but the
 hit/miss split can wobble by a count or two between processes.  The
-overall warm hit rate must exceed 50% (the PR acceptance bar).
-Wall-clock is printed for inspection but not asserted
-(machine-dependent).
+overall warm hit rate must exceed 50% (the acceptance bar).
+Wall-clock and the observed counters are printed for inspection and
+kept in the git-ignored ``benchmarks/results/timings/``; the tracked
+table shows the pinned counters, so a passing run leaves it unchanged.
 
 To regenerate the baseline after an *intentional* change::
 
@@ -40,7 +41,7 @@ from pathlib import Path
 from repro.benchmarks import all_benchmarks
 from repro.core.commutativity import ConditionalCommutativity
 from repro.core.preference import ThreadUniformOrder
-from repro.harness import atomic_write_text, emit
+from repro.harness import atomic_write_text, emit, emit_timings
 from repro.logic import Solver
 from repro.store import reset_store_registry
 from repro.verifier import VerifierConfig, verify
@@ -143,6 +144,15 @@ def _workload() -> dict:
     }
 
 
+def _store_row(name: str, c: dict) -> str:
+    asked = c["store_hits"] + c["store_misses"]
+    rate = c["store_hits"] / asked if asked else 0.0
+    return (
+        f"{name:24s} {c['store_hits']:>7d} {c['store_misses']:>7d}"
+        f" {c['store_writes']:>7d} {rate:>5.0%}"
+    )
+
+
 def test_store_counters_match_baseline(benchmark):
     observed = benchmark.pedantic(_workload, rounds=1, iterations=1)
     warm, timings = observed["warm"], observed["timings"]
@@ -155,23 +165,27 @@ def test_store_counters_match_baseline(benchmark):
             + "\n",
         )
     baseline = json.loads(BASELINE_PATH.read_text())
-    lines = [
+    # the tracked table shows the pinned warm counters, which the run
+    # matches within the tolerance; the observed ones can wobble with
+    # garbage-collection timing, so they go with the wall times
+    header = (
         f"{'program':24s} {'hits':>7s} {'misses':>7s} {'writes':>7s}"
-        f" {'rate':>6s} {'t_cold':>7s} {'t_warm':>7s}"
-    ]
+        f" {'rate':>6s}"
+    )
+    lines = [header]
+    walls = [header + f" {'t_cold':>7s} {'t_warm':>7s}"]
     total_hits = total_misses = 0
     for name in PROGRAMS:
         c, t = warm[name], timings[name]
-        asked = c["store_hits"] + c["store_misses"]
-        rate = c["store_hits"] / asked if asked else 0.0
         total_hits += c["store_hits"]
         total_misses += c["store_misses"]
-        lines.append(
-            f"{name:24s} {c['store_hits']:>7d} {c['store_misses']:>7d}"
-            f" {c['store_writes']:>7d} {rate:>5.0%}"
-            f" {t['cold']:>6.2f}s {t['warm']:>6.2f}s"
+        lines.append(_store_row(name, baseline["warm"][name]))
+        walls.append(
+            _store_row(name, c) + f" {t['cold']:>6.2f}s {t['warm']:>6.2f}s"
         )
+    lines.append(f"(pinned; every run within ±{_COUNTER_TOLERANCE})")
     emit("bench_store", lines)
+    emit_timings("bench_store", walls)
     # the acceptance bar: the warm re-run answers most probes from disk
     assert total_hits / (total_hits + total_misses) > 0.5, (
         "warm store hit rate fell to "

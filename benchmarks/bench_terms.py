@@ -22,7 +22,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.harness import atomic_write_text, emit
+from repro.harness import atomic_write_text, emit, emit_timings
 from repro.logic import (
     add,
     and_,
@@ -114,13 +114,13 @@ def test_term_kernel_counters_match_baseline(benchmark):
         lines.append(
             f"{key:20s} {counters[key]:>10d} {baseline['counters'][key]:>10d}"
         )
-    lines.append(
+    emit("bench_terms", lines)
+    emit_timings("bench_terms", [
         "throughput: "
         f"construct {2 * N_ATOMS / timings['construct']:.0f} atoms/s, "
         f"equality {N_ATOMS / timings['equality']:.0f} cmp/s, "
         f"substitute {N_SUBST / timings['substitute']:.0f} subst/s"
-    )
-    emit("bench_terms", lines)
+    ])
     # identity equality must hold for every rebuilt structure
     assert counters["identical_pairs"] == N_ATOMS
     assert counters == baseline["counters"], (

@@ -21,7 +21,10 @@ choice is deterministic.
 
 Threads that monitor ``assert`` statements (those with an error
 location) are always included, realizing footnote 4 of the paper: this
-keeps M a membrane under error-state acceptance.
+keeps M a membrane under error-state acceptance.  So when every thread
+is an observer, M is every enabled letter and prunes nothing; the
+constructor records this as ``prunes`` and callers then install no
+membrane at all, which is exact.
 
 The graph runs on per-thread tables: the enabled and reachable
 statements of each ``(thread, location)``, built by the constructor,
@@ -93,6 +96,9 @@ class PersistentSetProvider:
         ]
         observers = [i for i, t in enumerate(threads) if t.error is not None]
         self._observer_mask = sum(1 << i for i in observers) if include_observers else 0
+        #: False iff every membrane is the whole enabled set (every
+        #: thread an included observer), so the filter never prunes
+        self.prunes = self._observer_mask != (1 << len(threads)) - 1
         self._commute_cache: dict[tuple[int, int], bool] = {}
         self._conflict_cache: dict[tuple[int, int, int, int], bool] = {}
         self._key_bounds: dict[tuple[Context, int, int], tuple[SortKey, SortKey]] = {}

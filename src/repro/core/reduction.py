@@ -55,11 +55,14 @@ class ReducedProduct:
         self.commutativity = commutativity or SyntacticCommutativity()
         self.mode = mode
         self.view = program.product_view(accepting)
+        # no membrane where Algorithm 1 cannot prune (all observers)
         self._persistent: PersistentSetProvider | None = None
         if mode in ("combined", "persistent"):
-            self._persistent = PersistentSetProvider(
+            provider = PersistentSetProvider(
                 program, self.order, self.commutativity
             )
+            if provider.prunes:
+                self._persistent = provider
         self._layer = build_reduction_layers(
             self.view,
             self.order,

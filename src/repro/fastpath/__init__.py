@@ -16,7 +16,7 @@ the compiled counterpart of that stack:
 * :mod:`~repro.fastpath.pipeline` — the fast layer pipeline: per
   ``(q, ctx)`` compiled ⋖-sorted edge tables with per-edge
   strictly-lower masks and ``q + delta`` successors, enabled masks,
-  and memoized membrane masks;
+  and the membrane folded into each table;
 * :mod:`~repro.fastpath.engine` — the integer worklist engine: BFS/DFS
   over packed ``(q, φ, S, ctx)`` int tuples with the same budget,
   deadline-tick, and grey-cut-taint semantics as the pure engine;

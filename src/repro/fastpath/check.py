@@ -104,7 +104,6 @@ class FastChecker:
             ),
         )
         self.use_sleep = checker._use_sleep
-        self.use_membrane = checker._persistent is not None
         # static relations answer independently of φ: one mask per letter
         self._static_commute = checker._conditional is None
         self.bottom = enc.phi_id(BOTTOM)
@@ -244,37 +243,28 @@ class FastChecker:
         The sleep rule over masks: candidates ``(S | lower_a) & enabled``
         (``lower_a`` precomputed as a prefix OR over the ⋖-sorted edge
         table), filtered by commutativity with the taken letter.  The
-        engine never expands violation or ⊥-covered states, so no
-        explicit guard is repeated here.
+        table holds only the membrane's edges.  The engine never expands
+        violation or ⊥-covered states, so no explicit guard is repeated
+        here.
         """
         q, phi, sleep, ctx_id = state
         table = self.pipeline.edge_table(q, ctx_id)
         edges = table.edges
         if not edges:
             return []
-        mem = (
-            self.pipeline.membrane_mask(q, ctx_id)
-            if self.use_membrane
-            else None
-        )
         out: list[tuple[int, PackedState]] = []
+        step = self.step
         if self.use_sleep:
             enabled = table.enabled_mask
             commute_mask = self._commute_mask
-            step = self.step
             for a_id, bit, q2, ctx2, lower in edges:
                 if bit & sleep:
-                    continue
-                if mem is not None and not bit & mem:
                     continue
                 cand = (sleep | lower) & enabled
                 sleep2 = commute_mask(phi, a_id, cand) if cand else 0
                 out.append((a_id, (q2, step(phi, a_id), sleep2, ctx2)))
         else:
-            step = self.step
-            for a_id, bit, q2, ctx2, _lower in edges:
-                if mem is not None and not bit & mem:
-                    continue
+            for a_id, _bit, q2, ctx2, _lower in edges:
                 out.append((a_id, (q2, step(phi, a_id), 0, ctx2)))
         return out
 

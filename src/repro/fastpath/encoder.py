@@ -31,8 +31,8 @@ representation before search:
 The reverse direction (``letters_of``, ``q_of``, ``ctx_of``,
 ``phi_of``) is the decode boundary: commutativity and Hoare queries
 leave the integer world through it, counterexample traces re-enter
-object land only at the round's edges.  ``q_of`` is the
-only function that builds a location tuple.
+object land only at the round's edges.  Besides ``q_of``, only the
+membrane call of an edge-table miss builds a location tuple.
 """
 
 from __future__ import annotations
@@ -72,13 +72,14 @@ class ProgramEncoder:
         # the product state, packed: thread t's location index is the
         # digit of weight stride[t] = radix[0] * ... * radix[t-1]
         threads = program.threads
-        self._locations: tuple[tuple[int, ...], ...] = tuple(
+        #: per thread, its locations in digit order
+        self.locations: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(t.locations)) for t in threads
         )
         self._digit: tuple[dict[int, int], ...] = tuple(
-            {loc: d for d, loc in enumerate(locs)} for locs in self._locations
+            {loc: d for d, loc in enumerate(locs)} for locs in self.locations
         )
-        self.radix: tuple[int, ...] = tuple(len(locs) for locs in self._locations)
+        self.radix: tuple[int, ...] = tuple(len(locs) for locs in self.locations)
         strides = []
         weight = 1
         for r in self.radix:
@@ -101,7 +102,7 @@ class ProgramEncoder:
                 for d, loc in enumerate(locs)
             )
             for t, locs, digit, stride in zip(
-                threads, self._locations, self._digit, self.stride
+                threads, self.locations, self._digit, self.stride
             )
         )
         self.exit_q: int = self.q_id(tuple(t.exit for t in threads))
@@ -165,7 +166,7 @@ class ProgramEncoder:
     def q_of(self, q: int) -> ProductState:
         """The location vector of a packed state (the only tuple build)."""
         out = []
-        for locs, radix in zip(self._locations, self.radix):
+        for locs, radix in zip(self.locations, self.radix):
             q, d = divmod(q, radix)
             out.append(locs[d])
         return tuple(out)

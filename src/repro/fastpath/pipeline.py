@@ -12,19 +12,21 @@ sort keys per sibling.  Here both are compiled once per ``(q, ctx)``:
 * ``enabled_mask`` — the OR of all edge letters, so the sleep rule's
   candidate set becomes ``(S | lower_mask) & enabled_mask``: two mask
   ops instead of a key comparison per sibling;
-* the membrane (persistent-set) letter filter, memoized per
-  ``(q, ctx)`` as a mask — the only membrane memo on this path.  The
-  provider (:class:`~repro.core.persistent.PersistentSetProvider`,
+* the membrane (persistent-set) letter filter, folded in: a table
+  keeps only the edges of the membrane's letters, while each kept
+  edge's ``lower_mask`` and ``enabled_mask`` still range over every
+  enabled sibling, so the sleep rule's candidate set is unchanged.
+  The provider (:class:`~repro.core.persistent.PersistentSetProvider`,
   shared with the pure stack) answers with
-  :meth:`~repro.core.persistent.PersistentSetProvider.persistent_mask`:
-  Algorithm 1 over its own per-thread tables (thread bitmasks, one
-  adjacency int per active thread, a Warshall closure for the sink
-  SCC), with the sink threads' precomputed letter masks ORed together.
+  :meth:`~repro.core.persistent.PersistentSetProvider.persistent_mask`
+  during the table miss; no membrane is installed where it cannot
+  prune (every thread an ``assert`` observer).
 
 A table miss reads each thread's digit of the packed ``q`` and that
 digit's ``(a_id, delta)`` edges from the encoder; the successor is
-``q + delta``.  Building an edge table touches neither
-``program.successors``, a statement-to-id lookup, nor a location tuple.
+``q + delta``.  The membrane's location tuple is built in the same
+per-thread pass; a table touches neither ``program.successors`` nor a
+statement-to-id lookup.
 
 Commutativity masks are *not* here: they depend on the proof assertion
 φ, so they live with the proof-check glue (:mod:`repro.fastpath.check`)
@@ -63,7 +65,7 @@ class EdgeTable:
 
 
 class FastPipeline:
-    """Edge tables and membrane masks over a :class:`ProgramEncoder`."""
+    """Membrane-filtered edge tables over a :class:`ProgramEncoder`."""
 
     def __init__(
         self,
@@ -73,22 +75,22 @@ class FastPipeline:
         self.enc = encoder
         self.membrane = membrane
         self._tables: dict[tuple[int, int], EdgeTable] = {}
-        self._membrane_masks: dict[tuple[int, int], int] = {}
-        # per thread: (radix, the (a_id, delta) edges per digit)
-        self._threads = tuple(zip(encoder.radix, encoder.thread_edges))
+        # per thread: (radix, the (a_id, delta) edges per digit, locations)
+        self._threads = tuple(zip(encoder.radix, encoder.thread_edges, encoder.locations))
         #: compiled-edge-table memo counters (``fastpath_edge_*``)
         self.edge_hits = 0
         self.edge_misses = 0
 
     def edge_table(self, q: int, ctx_id: int) -> EdgeTable:
-        """The ⋖-sorted compiled edges of ``(q, ctx)``, memoized.
+        """The ⋖-sorted compiled membrane edges of ``(q, ctx)``, memoized.
 
         The edges are read from the encoder's per-thread digit tables
         (thread-major, edge-list order, like ``program.successors``) and
         sorted under the encoder's precomputed per-context rank array;
         keys include the letter uid, so they are strict and the sorted
         order matches the pure context layer's exactly.  A successor is
-        ``q + delta``: no location tuple is built.
+        ``q + delta``.  Edges outside the membrane are dropped after
+        their bits enter the later siblings' ``lower`` masks.
         """
         memo_key = (q, ctx_id)
         table = self._tables.get(memo_key)
@@ -96,33 +98,30 @@ class FastPipeline:
             self.edge_hits += 1
             return table
         self.edge_misses += 1
-        keys = self.enc.key_table(ctx_id)
+        enc = self.enc
+        keys = enc.key_table(ctx_id)
         raw = []
+        locations = []
         rest = q
-        for radix, digit_edges in self._threads:
+        for radix, digit_edges, locs in self._threads:
             rest, d = divmod(rest, radix)
+            locations.append(locs[d])
             for a_id, delta in digit_edges[d]:
                 raw.append((keys[a_id], a_id, delta))
         raw.sort(key=_sort_key)
-        advance_id = self.enc.advance_id
+        keep = (
+            self.membrane(tuple(locations), enc.ctx_of(ctx_id))
+            if self.membrane is not None
+            else -1
+        )
+        advance_id = enc.advance_id
         edges = []
-        enabled = 0
         lower = 0  # prefix OR: bits of the strictly-⋖-smaller siblings
         for _key, a_id, delta in raw:
             bit = 1 << a_id
-            edges.append((a_id, bit, q + delta, advance_id(ctx_id, a_id), lower))
+            if bit & keep:
+                edges.append((a_id, bit, q + delta, advance_id(ctx_id, a_id), lower))
             lower |= bit
-            enabled |= bit
-        table = EdgeTable(tuple(edges), enabled)
+        table = EdgeTable(tuple(edges), lower)  # lower: every enabled bit
         self._tables[memo_key] = table
         return table
-
-    def membrane_mask(self, q: int, ctx_id: int) -> int:
-        """The persistent-set letter filter of ``(q, ctx)`` as a mask."""
-        memo_key = (q, ctx_id)
-        mask = self._membrane_masks.get(memo_key)
-        if mask is None:
-            enc = self.enc
-            mask = self.membrane(enc.q_of(q), enc.ctx_of(ctx_id))
-            self._membrane_masks[memo_key] = mask
-        return mask

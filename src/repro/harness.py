@@ -273,9 +273,17 @@ def emit(name: str, lines: Iterable[str]) -> str:
     """Print a report and persist it under benchmarks/results/."""
     text = "\n".join(lines)
     print(f"\n===== {name} =====\n{text}\n", flush=True)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(RESULTS_DIR / f"{name}.txt", text + "\n")
+    path = RESULTS_DIR / f"{name}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write_text(path, text + "\n")
     return text
+
+
+def emit_timings(name: str, lines: Iterable[str]) -> str:
+    """:func:`emit` into the git-ignored benchmarks/results/timings/:
+    wall-clock figures change on every run, so they stay out of the
+    tracked tables."""
+    return emit(f"timings/{name}", lines)
 
 
 def emit_json(name: str, payload) -> None:

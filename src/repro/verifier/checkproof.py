@@ -249,11 +249,12 @@ class ProofChecker:
         self._conditional: ConditionalCommutativity | None = None
         if proof_sensitive and isinstance(commutativity, ConditionalCommutativity):
             self._conditional = commutativity
+        # no membrane where Algorithm 1 cannot prune (all observers)
         self._persistent: PersistentSetProvider | None = None
         if mode in ("combined", "persistent"):
-            self._persistent = PersistentSetProvider(
-                program, order, commutativity
-            )
+            provider = PersistentSetProvider(program, order, commutativity)
+            if provider.prunes:
+                self._persistent = provider
         self._use_sleep = mode in ("combined", "sleep")
         # the shared reduction stack; the edge-order memo inside its
         # context layer persists across rounds (edges depend only on the

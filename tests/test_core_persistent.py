@@ -3,14 +3,16 @@
 import os
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.automata import explore
-from repro.benchmarks import bluetooth, svcomp
+from repro.benchmarks import all_benchmarks, bluetooth, svcomp
 from repro.core import (
+    ConditionalCommutativity,
     FullCommutativity,
     PersistentSetProvider,
     RandomOrder,
@@ -21,10 +23,12 @@ from repro.core import (
     is_membrane,
     is_weakly_persistent,
 )
+from repro.core.reduction import ReducedProduct
 from repro.lang import assign, assume, parse
 from repro.logic import Solver, add, gt, intc, var
+from repro.verifier.checkproof import ProofChecker
 
-from helpers import make_program, straight_line_thread
+from helpers import make_program, small_programs, straight_line_thread
 
 
 def sample_states(program, limit=200):
@@ -389,9 +393,9 @@ _ASSERTS = ("assert x >= 0;", "assert y <= x;", "assert p >= 0;")
 
 
 @st.composite
-def _thread_source(draw, index):
+def _thread_source(draw, index, observer=False):
     body = draw(st.lists(st.sampled_from(_SHARED + _PRIVATE), min_size=1, max_size=3))
-    if draw(st.booleans()):
+    if observer or draw(st.booleans()):
         body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(_ASSERTS)))
     if draw(st.booleans()):
         body = [f"while (*) {{ {body[0]} }}"] + body[1:]
@@ -399,11 +403,12 @@ def _thread_source(draw, index):
 
 
 @st.composite
-def _mixed_programs(draw):
-    """3-5 threads mixing assert observers and plain threads, over shared
-    (x, y) and thread-private (p) variables."""
+def _mixed_programs(draw, observers=False):
+    """3-5 threads mixing assert observers and plain threads (only
+    observers if *observers*), over shared (x, y) and thread-private (p)
+    variables."""
     count = draw(st.integers(3, 5))
-    threads = [draw(_thread_source(i)) for i in range(count)]
+    threads = [draw(_thread_source(i, observers)) for i in range(count)]
     return parse("var x: int = 0;\nvar y: int = 0;\n" + "\n".join(threads))
 
 
@@ -443,3 +448,142 @@ def test_membrane_matches_reference_on_registry(
         include_observers=include_observers,
         limit=limit,
     )
+
+
+# -- the static no-prune fact: where Algorithm 1 is skipped -------------------
+
+
+def _assert_no_prune_is_exact(program, make_order, limit):
+    """A provider that reports it cannot prune returns every enabled
+    letter at every reachable location vector, without asking a single
+    conflict query; one that can prune has a thread outside the
+    observers it includes."""
+    order = make_order(program)
+    relation = _RecordingRelation(SyntacticCommutativity())
+    provider = PersistentSetProvider(program, order, relation)
+    observers = all(t.error is not None for t in program.threads)
+    assert provider.prunes is not observers
+    if provider.prunes:
+        return
+    letter_id = {a: n for n, a in enumerate(sorted(program.alphabet(), key=lambda a: a.uid))}
+    for state, context in _reachable_pairs(program, order, limit):
+        enabled = sum(1 << letter_id[a] for a, _ in program.successors(state))
+        assert provider.persistent_mask(state, context) == enabled, state
+    assert relation.asked == []
+
+
+_CONTEXT_ORDERS = ("seq", "lockstep")
+
+
+@pytest.mark.parametrize("order_name", _CONTEXT_ORDERS)
+def test_no_prune_membrane_is_every_enabled_letter_on_registry(order_name):
+    for bench in all_benchmarks():
+        _assert_no_prune_is_exact(bench.build(), _ORDERS[order_name], limit=1500)
+
+
+@pytest.mark.parametrize("order_name", _CONTEXT_ORDERS)
+@settings(max_examples=15, deadline=None)
+@given(
+    program=st.one_of(
+        small_programs(), _mixed_programs(), _mixed_programs(observers=True)
+    )
+)
+def test_no_prune_membrane_is_every_enabled_letter_on_random_programs(
+    program, order_name
+):
+    _assert_no_prune_is_exact(program, _ORDERS[order_name], limit=300)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    program=st.one_of(small_programs(), _mixed_programs(observers=True))
+)
+def test_excluded_observers_always_prune(program):
+    provider = PersistentSetProvider(
+        program, ThreadUniformOrder(), SyntacticCommutativity(),
+        include_observers=False,
+    )
+    assert provider.prunes
+
+
+def test_excluded_observers_always_prune_on_registry():
+    for bench in all_benchmarks():
+        provider = PersistentSetProvider(
+            bench.build(), ThreadUniformOrder(), SyntacticCommutativity(),
+            include_observers=False,
+        )
+        assert provider.prunes, bench.name
+
+
+@pytest.mark.parametrize(
+    "make_program_, holds",
+    [
+        (lambda: svcomp.mutex_atomic(4), False),
+        (lambda: svcomp.mutex_atomic(4, correct=False), False),
+        (lambda: bluetooth(2), True),
+    ],
+)
+def test_membrane_installed_only_where_it_can_prune(make_program_, holds):
+    """An all-observer program gets no membrane in the fast pipeline, the
+    pure layer stack or the standalone reduction; bluetooth gets one."""
+    program = make_program_()
+    relation = ConditionalCommutativity(Solver())
+    order = ThreadUniformOrder()
+    fast = ProofChecker(program, order, relation, engine="fast")
+    pure = ProofChecker(program, order, relation, engine="pure")
+    reduced = ReducedProduct(program, order, relation)
+    layers = (fast._fast.pipeline, fast._layer, pure._layer, reduced._layer)
+    assert [layer.membrane is not None for layer in layers] == [holds] * 4
+
+
+def _reference_edge_table(enc, q, ctx_id):
+    """The edge table before the membrane was folded in: every enabled
+    edge in ⋖ order with its prefix-OR ``lower`` mask."""
+    keys = enc.key_table(ctx_id)
+    raw = []
+    rest = q
+    for radix, digit_edges in zip(enc.radix, enc.thread_edges):
+        rest, d = divmod(rest, radix)
+        for a_id, delta in digit_edges[d]:
+            raw.append((keys[a_id], a_id, delta))
+    raw.sort(key=itemgetter(0))
+    edges, lower = [], 0
+    for _key, a_id, delta in raw:
+        bit = 1 << a_id
+        edges.append((a_id, bit, q + delta, enc.advance_id(ctx_id, a_id), lower))
+        lower |= bit
+    return edges, lower
+
+
+@pytest.mark.parametrize("order_name", _CONTEXT_ORDERS)
+def test_folded_edge_tables_match_filtered_reference(order_name):
+    """On bluetooth(3) every folded edge table keeps exactly the edges
+    of the unfiltered table that the membrane mask of the decoded
+    location vector admits, with the same ``lower`` masks and an
+    ``enabled_mask`` over all enabled letters."""
+    program = bluetooth(3)
+    order = _ORDERS[order_name](program)
+    checker = ProofChecker(
+        program, order, ConditionalCommutativity(Solver()), engine="fast"
+    )
+    pipeline = checker._fast.pipeline
+    enc = pipeline.enc
+    assert pipeline.membrane is not None
+    start = (enc.q_id(program.initial_state()), enc.ctx_id(order.initial_context()))
+    seen, frontier, pruned = {start}, [start], 0
+    while frontier and len(seen) < 2000:
+        nxt = []
+        for q, ctx_id in frontier:
+            edges, enabled = _reference_edge_table(enc, q, ctx_id)
+            mem = pipeline.membrane(enc.q_of(q), enc.ctx_of(ctx_id))
+            kept = tuple(edge for edge in edges if edge[1] & mem)
+            table = pipeline.edge_table(q, ctx_id)
+            assert table.edges == kept, (q, ctx_id)
+            assert table.enabled_mask == enabled, (q, ctx_id)
+            pruned += len(edges) - len(kept)
+            for _a_id, _bit, q2, ctx2, _lower in edges:
+                if (q2, ctx2) not in seen:
+                    seen.add((q2, ctx2))
+                    nxt.append((q2, ctx2))
+        frontier = nxt
+    assert pruned > 0

@@ -197,11 +197,16 @@ def _assert_packed_encoding(program, limit=None):
             assert fast.flag(packed) == (
                 program.is_violation(q) | 2 * program.is_exit(q)
             ), q
-            rows = fast.pipeline.edge_table(packed, ctx).edges
-            assert sorted(a_id for a_id, *_ in rows) == sorted(
-                enc.letter_id[a] for a, _ in program.successors(q)
-            )
-            for a_id, _bit, q2, _ctx2, _lower in rows:
+            table = fast.pipeline.edge_table(packed, ctx)
+            enabled = enc.mask_of(a for a, _ in program.successors(q))
+            assert table.enabled_mask == enabled
+            # the table keeps the membrane's edges (all, without one)
+            membrane = fast.pipeline.membrane
+            keep = membrane(q, enc.ctx_of(ctx)) if membrane else enabled
+            assert enc.mask_of(
+                enc.letters[a_id] for a_id, *_ in table.edges
+            ) == enabled & keep
+            for a_id, _bit, q2, _ctx2, _lower in table.edges:
                 assert enc.q_of(q2) == program.step(q, enc.letters[a_id])
             for _a, q2 in program.successors(q):
                 if q2 not in seen and (limit is None or len(seen) < limit):
