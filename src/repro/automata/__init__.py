@@ -17,7 +17,6 @@ from .lazy import (
     count_reachable_states,
     explore,
     materialize,
-    shortest_accepted_word,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "count_reachable_states",
     "explore",
     "materialize",
-    "shortest_accepted_word",
 ]

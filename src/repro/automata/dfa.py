@@ -4,15 +4,16 @@ States and letters may be any hashable values.  Transition functions are
 *partial*: a missing entry means the letter is not enabled (the paper's
 automata are partial as well; see §3, "Finite Automata").
 
-The operations here are the ones the verification pipeline needs:
-reachability, emptiness, product, complement (via totalization),
-inclusion, word enumeration (the test oracle), and Hopcroft minimization
-(used to compare reduction representations size-independently).
+A ``DFA`` is what :func:`~repro.automata.lazy.materialize` returns for
+an on-the-fly automaton (``ReducedProduct.to_dfa``, ``repro reduce
+--dot``); the tests run words through it and enumerate its language as
+an oracle.  The pipeline itself never complements, intersects or
+minimizes an automaton: the proof check steps the Floyd/Hoare automaton
+alongside the reduction instead (Algorithm 2).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -49,9 +50,6 @@ class DFA:
     def step(self, state: State, letter: Letter) -> State | None:
         return self.transitions.get((state, letter))
 
-    def enabled(self, state: State) -> frozenset[Letter]:
-        return frozenset(a for (q, a) in self.transitions if q == state)
-
     def run(self, word: Sequence[Letter]) -> State | None:
         """The state reached by *word*, or ``None`` if the run dies."""
         q = self.initial
@@ -59,16 +57,6 @@ class DFA:
             q = self.step(q, a)
             if q is None:
                 return None
-        return q
-
-    def run_longest_prefix(self, word: Sequence[Letter]) -> State:
-        """δ*₊(w): the state reached by the longest runnable prefix (§3)."""
-        q = self.initial
-        for a in word:
-            nxt = self.step(q, a)
-            if nxt is None:
-                return q
-            q = nxt
         return q
 
     def accepts(self, word: Sequence[Letter]) -> bool:
@@ -96,41 +84,6 @@ class DFA:
 
     # -- language queries -------------------------------------------------
 
-    def is_empty(self) -> bool:
-        """True iff the recognized language is empty."""
-        reach = self.states()
-        return not any(f in reach for f in self.finals)
-
-    def _coaccessible(self) -> frozenset[State]:
-        """States from which some final state is reachable."""
-        pred: dict[State, set[State]] = {}
-        for (q, _a), q2 in self.transitions.items():
-            pred.setdefault(q2, set()).add(q)
-        reach = self.states()
-        seen: set[State] = {f for f in self.finals if f in reach}
-        queue: deque[State] = deque(seen)
-        while queue:
-            q = queue.popleft()
-            for p in pred.get(q, ()):
-                if p in reach and p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return frozenset(seen)
-
-    def trim(self) -> "DFA":
-        """Restrict to states that are reachable and co-accessible."""
-        keep = self.states() & self._coaccessible()
-        trans = {
-            (q, a): q2
-            for (q, a), q2 in self.transitions.items()
-            if q in keep and q2 in keep
-        }
-        finals = self.finals & keep
-        if self.initial not in keep:
-            # empty language: keep just the initial state, no finals
-            return DFA(self.alphabet, {}, self.initial, frozenset())
-        return DFA(self.alphabet, trans, self.initial, finals)
-
     def words(self, max_length: int) -> Iterator[tuple[Letter, ...]]:
         """Enumerate all accepted words of length <= *max_length*.
 
@@ -155,99 +108,3 @@ class DFA:
     def language_up_to(self, max_length: int) -> frozenset[tuple[Letter, ...]]:
         return frozenset(self.words(max_length))
 
-    # -- algebra -----------------------------------------------------------
-
-    def totalize(self, sink: State = ("__sink__",)) -> "DFA":
-        """Make the transition function total by adding a sink state."""
-        states = self.states() | {sink}
-        trans = dict(self.transitions)
-        for q, a in itertools.product(states, self.alphabet):
-            trans.setdefault((q, a), sink)
-        return DFA(self.alphabet, trans, self.initial, self.finals)
-
-    def complement(self) -> "DFA":
-        """Complement wrt. Σ* (totalizes first)."""
-        total = self.totalize()
-        finals = frozenset(q for q in total.states() if q not in total.finals)
-        return DFA(total.alphabet, total.transitions, total.initial, finals)
-
-    def intersect(self, other: "DFA") -> "DFA":
-        """Product automaton recognizing the intersection."""
-        alphabet = self.alphabet | other.alphabet
-        initial = (self.initial, other.initial)
-        trans: dict[tuple[State, Letter], State] = {}
-        finals: set[State] = set()
-        seen: set[State] = {initial}
-        queue: deque[tuple[State, State]] = deque([initial])
-        while queue:
-            q1, q2 = queue.popleft()
-            if q1 in self.finals and q2 in other.finals:
-                finals.add((q1, q2))
-            for a in alphabet:
-                n1 = self.step(q1, a)
-                n2 = other.step(q2, a)
-                if n1 is None or n2 is None:
-                    continue
-                nxt = (n1, n2)
-                trans[((q1, q2), a)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return DFA(frozenset(alphabet), trans, initial, frozenset(finals))
-
-    def is_subset_of(self, other: "DFA") -> bool:
-        """L(self) ⊆ L(other)?  (the proof-check inclusion, §1)"""
-        return self.intersect(other.complement()).is_empty()
-
-    def equivalent_to(self, other: "DFA") -> bool:
-        return self.is_subset_of(other) and other.is_subset_of(self)
-
-    def minimize(self) -> "DFA":
-        """Hopcroft minimization (on the trimmed, totalized automaton)."""
-        total = self.trim().totalize()
-        states = list(total.states())
-        finals = frozenset(q for q in states if q in total.finals)
-        nonfinals = frozenset(states) - finals
-        partition: set[frozenset[State]] = set()
-        if finals:
-            partition.add(finals)
-        if nonfinals:
-            partition.add(nonfinals)
-        worklist: set[frozenset[State]] = set(partition)
-        pred: dict[tuple[Letter, State], set[State]] = {}
-        for (q, a), q2 in total.transitions.items():
-            if q in states and q2 in states:
-                pred.setdefault((a, q2), set()).add(q)
-        while worklist:
-            splitter = worklist.pop()
-            for a in total.alphabet:
-                x = {p for q in splitter for p in pred.get((a, q), ())}
-                if not x:
-                    continue
-                for block in list(partition):
-                    inter = block & x
-                    diff = block - x
-                    if not inter or not diff:
-                        continue
-                    partition.remove(block)
-                    partition.add(frozenset(inter))
-                    partition.add(frozenset(diff))
-                    if block in worklist:
-                        worklist.remove(block)
-                        worklist.add(frozenset(inter))
-                        worklist.add(frozenset(diff))
-                    else:
-                        worklist.add(
-                            frozenset(inter) if len(inter) <= len(diff) else frozenset(diff)
-                        )
-        block_of: dict[State, frozenset[State]] = {}
-        for block in partition:
-            for q in block:
-                block_of[q] = block
-        trans: dict[tuple[State, Letter], State] = {}
-        for (q, a), q2 in total.transitions.items():
-            if q in block_of and q2 in block_of:
-                trans[(block_of[q], a)] = block_of[q2]
-        initial = block_of[total.initial]
-        new_finals = frozenset(block_of[q] for q in finals)
-        return DFA(total.alphabet, trans, initial, new_finals).trim()

@@ -4,7 +4,7 @@ The interleaving product of a concurrent program — and every reduction
 automaton layered on top of it — is exponentially large, so the pipeline
 never builds it eagerly.  A :class:`LazyDFA` exposes only the initial
 state, per-state successors, and the acceptance predicate; exploration
-(:func:`explore`, :func:`materialize`, :func:`shortest_accepted_word`)
+(:func:`explore`, :func:`materialize`, :func:`count_reachable_states`)
 constructs exactly the states that are visited.  This realizes the
 paper's "on the fly" constructions (§6, §7.2).
 
@@ -76,21 +76,6 @@ def count_reachable_states(
 ) -> int:
     states, _ = explore(automaton, max_states=max_states)
     return len(states)
-
-
-def shortest_accepted_word(
-    automaton: LazyDFA, *, max_states: int | None = None
-) -> tuple[Letter, ...] | None:
-    """BFS for a shortest accepted word; ``None`` if the language is empty."""
-    engine: WorklistEngine = WorklistEngine(
-        automaton.successors,
-        strategy="bfs",
-        max_states=max_states,
-        budget_error=ExplorationLimit,
-        budget_message=f"exceeded {max_states} states during search",
-    )
-    result = engine.run(automaton.initial_state(), goal=automaton.is_accepting)
-    return result.trace
 
 
 class MappedLazyDFA:

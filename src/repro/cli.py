@@ -282,42 +282,48 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    from .automata import count_reachable_states, materialize
+    from .automata import ExplorationLimit, count_reachable_states, materialize
     from .automata.dot import to_dot
     from .core import reduce_program
 
     program = _read_program(args.file)
     order = _make_order(args.order, program)
     relation = SyntacticCommutativity()
-    full = count_reachable_states(
-        program.product_view("both"), max_states=args.max_states
-    )
-    print(f"program size (locations): {program.size}")
-    print(f"full product states:      {full}")
-    for mode in ("sleep", "persistent", "combined"):
-        reduced = reduce_program(program, order, relation, mode=mode)
-        states = count_reachable_states(reduced, max_states=args.max_states)
-        print(f"{mode:10s} reduction:     {states}")
-    if args.dot:
-        reduced = reduce_program(program, order, relation, mode="combined")
-        dfa = materialize(reduced, program.alphabet(), max_states=args.max_states)
-        dot = to_dot(
-            dfa,
-            name=program.name,
-            state_label=lambda s: str(s[0]),
-            letter_label=lambda a: a.label,
+    try:
+        full = count_reachable_states(
+            program.product_view("both"), max_states=args.max_states
         )
-        Path(args.dot).write_text(dot)
-        print(f"wrote {args.dot}")
+        print(f"program size (locations): {program.size}")
+        print(f"full product states:      {full}")
+        for mode in ("sleep", "persistent", "combined"):
+            reduced = reduce_program(program, order, relation, mode=mode)
+            states = count_reachable_states(reduced, max_states=args.max_states)
+            print(f"{mode:10s} reduction:     {states}")
+        if args.dot:
+            reduced = reduce_program(program, order, relation, mode="combined")
+            dfa = materialize(
+                reduced, program.alphabet(), max_states=args.max_states
+            )
+            dot = to_dot(
+                dfa,
+                name=program.name,
+                state_label=lambda s: str(s[0]),
+                letter_label=lambda a: a.label,
+            )
+            Path(args.dot).write_text(dot)
+            print(f"wrote {args.dot}")
+    except ExplorationLimit:
+        print(
+            f"reduce: more than {args.max_states} states; "
+            "raise --max-states to explore further",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        program = _read_program(args.file)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    program = _read_program(args.file)
     print(f"{program.name}: {len(program.threads)} threads, "
           f"size {program.size}, |Σ| = {len(program.alphabet())}, "
           f"asserts: {'yes' if program.has_asserts() else 'no'}")
@@ -740,7 +746,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,8 @@ constructor records this as ``prunes`` and callers then install no
 membrane at all, which is exact.
 
 The graph runs on per-thread tables: the enabled and reachable
-statements of each ``(thread, location)``, built by the constructor,
+statements of each ``(thread, location)``, built by the constructor
+(the reachable ones only when the membrane can prune),
 and the least and greatest sort key per ``(context, thread,
 location)``, memoized.  Each active thread's adjacency is one int
 bitmask over threads; the sink is read off a Warshall closure of those
@@ -91,14 +92,18 @@ class PersistentSetProvider:
             }
             for enabled in self._enabled
         ]
-        self._reachable_stmts: list[dict[int, tuple[Statement, ...]]] = [
-            self._thread_reachable_statements(t) for t in threads
-        ]
         observers = [i for i, t in enumerate(threads) if t.error is not None]
         self._observer_mask = sum(1 << i for i in observers) if include_observers else 0
         #: False iff every membrane is the whole enabled set (every
         #: thread an included observer), so the filter never prunes
         self.prunes = self._observer_mask != (1 << len(threads)) - 1
+        # only the conflict graph reads these, and it is never built
+        # when every thread is an observer
+        self._reachable_stmts: list[dict[int, tuple[Statement, ...]]] = (
+            [self._thread_reachable_statements(t) for t in threads]
+            if self.prunes
+            else []
+        )
         self._commute_cache: dict[tuple[int, int], bool] = {}
         self._conflict_cache: dict[tuple[int, int, int, int], bool] = {}
         self._key_bounds: dict[tuple[Context, int, int], tuple[SortKey, SortKey]] = {}

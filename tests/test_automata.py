@@ -1,7 +1,6 @@
 """DFA and lazy-automaton tests."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.automata import (
     DFA,
@@ -9,7 +8,6 @@ from repro.automata import (
     MappedLazyDFA,
     count_reachable_states,
     materialize,
-    shortest_accepted_word,
 )
 
 
@@ -52,14 +50,6 @@ class TestBasics:
         assert d.run(("b",)) is None
         assert not d.accepts(("b",))
 
-    def test_run_longest_prefix(self):
-        d = finite_lang({("a", "b")}, {"a", "b"})
-        assert d.run_longest_prefix(("a", "a", "b")) == ("a",)
-
-    def test_enabled(self):
-        d = ab_star_ending_b()
-        assert d.enabled(0) == {"a", "b"}
-
     def test_states_and_count(self):
         d = ab_star_ending_b()
         assert d.num_states() == 2
@@ -73,65 +63,6 @@ class TestLanguageOps:
     def test_words_enumeration(self):
         d = finite_lang({("a",), ("a", "b")}, {"a", "b"})
         assert d.language_up_to(2) == {("a",), ("a", "b")}
-
-    def test_emptiness(self):
-        d = finite_lang(set(), {"a"})
-        assert d.is_empty()
-        assert not ab_star_ending_b().is_empty()
-
-    def test_complement(self):
-        d = ab_star_ending_b().complement()
-        assert d.accepts(())
-        assert d.accepts(("b", "a"))
-        assert not d.accepts(("b",))
-
-    def test_intersection(self):
-        ends_b = ab_star_ending_b()
-        # words of even length
-        even = DFA.build(
-            {"a", "b"},
-            {(0, "a"): 1, (0, "b"): 1, (1, "a"): 0, (1, "b"): 0},
-            0,
-            {0},
-        )
-        both = ends_b.intersect(even)
-        assert both.accepts(("a", "b"))
-        assert not both.accepts(("b",))
-        assert not both.accepts(("a", "a"))
-
-    def test_subset(self):
-        small = finite_lang({("a", "b"), ("b",)}, {"a", "b"})
-        assert small.is_subset_of(ab_star_ending_b())
-        assert not ab_star_ending_b().is_subset_of(small)
-
-    def test_equivalence_after_minimize(self):
-        d = ab_star_ending_b()
-        m = d.minimize()
-        assert m.equivalent_to(d)
-        assert m.num_states() <= d.totalize().num_states()
-
-    def test_minimize_collapses_redundant_states(self):
-        # two states both accepting with identical behavior
-        d = DFA.build(
-            {"a"},
-            {(0, "a"): 1, (1, "a"): 2, (2, "a"): 1},
-            0,
-            {1, 2},
-        )
-        m = d.minimize()
-        assert m.equivalent_to(d)
-        assert m.num_states() < 3
-
-    def test_trim_removes_dead_states(self):
-        d = DFA.build(
-            {"a", "b"},
-            {(0, "a"): 1, (0, "b"): 2, (2, "b"): 2},  # 2 is a dead loop
-            0,
-            {1},
-        )
-        t = d.trim()
-        assert t.num_states() == 2
-        assert t.equivalent_to(d)
 
 
 class TestLazy:
@@ -151,17 +82,6 @@ class TestLazy:
     def test_count_reachable(self):
         assert count_reachable_states(self._counter(5)) == 6
 
-    def test_shortest_word(self):
-        assert shortest_accepted_word(self._counter(4)) == ("inc",) * 4
-
-    def test_shortest_word_empty_language(self):
-        lazy = MappedLazyDFA(0, lambda q: [], lambda q: False)
-        assert shortest_accepted_word(lazy) is None
-
-    def test_shortest_word_epsilon(self):
-        lazy = MappedLazyDFA(0, lambda q: [], lambda q: True)
-        assert shortest_accepted_word(lazy) == ()
-
     def test_exploration_limit(self):
         unbounded = MappedLazyDFA(
             0, lambda q: [("inc", q + 1)], lambda q: False
@@ -169,16 +89,3 @@ class TestLazy:
         with pytest.raises(ExplorationLimit):
             count_reachable_states(unbounded, max_states=100)
 
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.sets(
-        st.tuples(*([st.sampled_from("ab")] * 2)).map(tuple)
-        | st.tuples(st.sampled_from("ab")).map(tuple),
-        max_size=5,
-    )
-)
-def test_minimize_preserves_finite_languages(words):
-    d = finite_lang(set(words), {"a", "b"})
-    m = d.minimize()
-    assert m.language_up_to(3) == d.language_up_to(3)

@@ -229,6 +229,25 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "full product states" in out
 
+    def test_reduce_state_budget_is_an_error_line(self, program_file, capsys):
+        assert main(["reduce", program_file, "--max-states", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "2 states" in err and "--max-states" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["reduce"], ["portfolio"], ["orders"], ["diff-verify"]],
+    )
+    def test_parse_error_is_an_error_line(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.cprog"
+        bad.write_text("thread { oops")
+        argv = command + [str(bad)]
+        if command == ["diff-verify"]:
+            argv += [str(bad), "--proof-store", str(tmp_path / "store")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_reduce_dot(self, program_file, tmp_path, capsys):
         dot = tmp_path / "out.dot"
         assert main(["reduce", program_file, "--dot", str(dot)]) == 0

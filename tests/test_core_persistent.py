@@ -523,9 +523,23 @@ def test_excluded_observers_always_prune_on_registry():
         (lambda: bluetooth(2), True),
     ],
 )
-def test_membrane_installed_only_where_it_can_prune(make_program_, holds):
+def test_membrane_installed_only_where_it_can_prune(
+    make_program_, holds, monkeypatch
+):
     """An all-observer program gets no membrane in the fast pipeline, the
-    pure layer stack or the standalone reduction; bluetooth gets one."""
+    pure layer stack or the standalone reduction; bluetooth gets one.
+    Only a provider that can prune builds its reachable-statement
+    tables."""
+    tables = PersistentSetProvider._thread_reachable_statements
+    calls = []
+
+    def spy(thread):
+        calls.append(thread)
+        return tables(thread)
+
+    monkeypatch.setattr(
+        PersistentSetProvider, "_thread_reachable_statements", staticmethod(spy)
+    )
     program = make_program_()
     relation = ConditionalCommutativity(Solver())
     order = ThreadUniformOrder()
@@ -534,6 +548,7 @@ def test_membrane_installed_only_where_it_can_prune(make_program_, holds):
     reduced = ReducedProduct(program, order, relation)
     layers = (fast._fast.pipeline, fast._layer, pure._layer, reduced._layer)
     assert [layer.membrane is not None for layer in layers] == [holds] * 4
+    assert bool(calls) == holds
 
 
 def _reference_edge_table(enc, q, ctx_id):
