@@ -7,7 +7,6 @@ paper's shape: the GemCutter curve lies below/right of Automizer's.
 This bench prints both sorted series (plot-ready data).
 """
 
-from repro.benchmarks import all_benchmarks
 from repro.harness import emit, emit_json, run_suite
 
 

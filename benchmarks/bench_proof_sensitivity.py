@@ -10,7 +10,6 @@ This bench compares the portfolio with conditional commutativity
 unconditional commutativity.
 """
 
-from repro.benchmarks import all_benchmarks
 from repro.harness import emit, emit_json, run_suite
 from repro.verifier import Verdict
 

@@ -61,7 +61,6 @@ def _plan_row(name: str) -> dict:
         "ranked": plan.order_names(),
         "scores": [round(m.score, 4) for m in plan.ranked],
         "stage_budgets": plan.stage_budgets,
-        "family": plan.family,
     }
 
 

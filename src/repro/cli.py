@@ -182,10 +182,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"segments: {len(segments)} ({total} bytes)")
         for segment in segments:
             print(f"  {segment['name']:32s} {segment['bytes']:>10d} bytes")
-        if info.get("outcome_families"):
-            print("outcome rows (triage advisory):")
-            for family, count in sorted(info["outcome_families"].items()):
-                print(f"  {family:24s} {count}")
         if info["load_warnings"]:
             print(f"load warnings: {info['load_warnings']}")
         return 0
@@ -251,29 +247,22 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
 
 def _cmd_orders(args: argparse.Namespace) -> int:
     """Print the triage plan without running anything."""
-    from .store import ProofStore
     from .verifier import plan_portfolio, standard_orders
 
     program = _read_program(args.file)
-    store_path = _store_path(args)
-    store = ProofStore(store_path) if store_path else None
     plan = plan_portfolio(
-        program,
-        standard_orders(program),
-        time_budget=args.timeout,
-        store=store,
+        program, standard_orders(program), time_budget=args.timeout
     )
     feats = plan.features
-    print(f"{program.name}: family={plan.family}  threads={feats.num_threads}  "
+    print(f"{program.name}: threads={feats.num_threads}  "
           f"|Σ|={feats.alphabet_size}")
     print(f"features: conflict_density={feats.conflict_density:.3f}  "
           f"guard_density={feats.guard_density:.3f}")
     print("ranked members:")
     for i, member in enumerate(plan.ranked, start=1):
-        tag = " (refit)" if member.fitted else ""
         dispersion = feats.dispersion.get(member.order_name, 0.0)
         print(f"  {i}. {member.order_name:12s} score={member.score:+.3f}  "
-              f"kind={member.kind}{tag}  dispersion={dispersion:.3f}")
+              f"kind={member.kind}  dispersion={dispersion:.3f}")
     stages = ", ".join(
         "full" if b is None else f"{b:.2f}s" for b in plan.stage_budgets
     )
@@ -601,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="member budget the ladder is derived from (no ladder "
              "when omitted)",
     )
-    p_orders.add_argument("--proof-store", metavar="PATH", default=None)
-    p_orders.add_argument("--no-proof-store", action="store_true")
     p_orders.set_defaults(func=_cmd_orders)
 
     p_reduce = sub.add_parser(
@@ -750,6 +737,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except FileNotFoundError as exc:
+        print(f"no such file: {exc.filename}", file=sys.stderr)
         return 1
 
 

@@ -79,9 +79,6 @@ class ThreadCFG:
                     stack.append(dst)
         return frozenset(seen)
 
-    def statements_at(self, location: Location) -> tuple[Statement, ...]:
-        return self.enabled(location)
-
 
 class _Compiler:
     """Compiles one thread body into a :class:`ThreadCFG`."""

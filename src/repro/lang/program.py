@@ -53,9 +53,6 @@ class ConcurrentProgram:
     def alphabet(self) -> frozenset[Statement]:
         return frozenset(self._thread_of)
 
-    def thread_of(self, statement: Statement) -> int:
-        return self._thread_of[statement]
-
     def variables(self) -> frozenset[str]:
         names: set[str] = set()
         for s in self.alphabet():

@@ -48,7 +48,6 @@ from .terms import (
     compile_eval,
     eq,
     gt,
-    ite,
     le,
     lt,
     mul,

@@ -8,10 +8,10 @@ shedding, per-tenant budgets with weighted-fair scheduling, retries,
 a circuit breaker, and graceful drain.  See ``docs/service.md``.
 
 This ``__init__`` imports only :mod:`repro.service.policy` eagerly —
-the policy layer is shared with :mod:`repro.verifier.triage`, which
-``import repro`` loads, and with the parallel runtime; the server,
-client, queue, and journal load on first attribute access (see
-:mod:`repro._lazy`).
+the policy layer is shared with the parallel runtime
+(:mod:`repro.verifier.runtime`, which re-exports ``RetryPolicy``); the
+server, client, queue, and journal load on first attribute access (see
+:mod:`repro._lazy`).  ``import repro`` loads none of this package.
 """
 
 from .._lazy import lazy_exports

@@ -105,9 +105,6 @@ class FairQueue:
     def depth(self) -> int:
         return self._depth
 
-    def depth_for(self, tenant: str) -> int:
-        return len(self._queues.get(tenant, ()))
-
     async def put(self, job: Job) -> None:
         async with self._cond:
             queue = self._queues.setdefault(job.tenant, deque())

@@ -25,7 +25,6 @@ from .store import (
     KIND_COMM,
     KIND_COMM_COND,
     KIND_HOARE,
-    KIND_OUTCOME,
     KIND_SAT,
     KIND_SHAPE,
     ProofStore,
@@ -46,7 +45,6 @@ __all__ = [
     "KIND_COMM",
     "KIND_COMM_COND",
     "KIND_HOARE",
-    "KIND_OUTCOME",
     "KIND_SAT",
     "KIND_SHAPE",
     "ProofStore",

@@ -30,10 +30,7 @@ truncated or bit-flipped records — degrades to a *cold start* with a
 logged warning: the store serves fewer hits, never a wrong or stale
 verdict.  Definite verdicts are the only thing ever stored; callers
 must not insert budget-dependent UNKNOWN outcomes (see the
-``put_*`` docstrings).  The one exception is :data:`KIND_OUTCOME`:
-advisory portfolio-triage observations (order, verdict, wall time)
-that are only ever read back to choose member start order and budget
-shares — never consulted for a verdict, so staleness is harmless.
+``put_*`` docstrings), so every stored value is a deterministic fact.
 
 Compaction keeps the store within ``max_records``: when the merged
 entry count exceeds the cap, the oldest *untouched* entries are evicted
@@ -53,9 +50,10 @@ log = logging.getLogger("repro.store")
 
 #: manifest format version; a store written by any other format is
 #: ignored (cold start), never guessed at.  Version 2 dropped the
-#: ``explore`` record kind: a version-1 store may hold such records,
-#: which this loader would otherwise count as corrupt.
-FORMAT_VERSION = 2
+#: ``explore`` record kind and version 3 the ``outcome`` kind (wall-time
+#: triage rows): an older store may hold such records, which this
+#: loader would otherwise count as corrupt.
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 SEGMENT_PREFIX = "segment-"
@@ -75,12 +73,8 @@ KIND_HOARE = "hoare"        # Hoare-triple validity
 KIND_COMM = "comm"          # unconditional commutativity of a pair
 KIND_COMM_COND = "commc"    # conditional commutativity under a context
 KIND_SHAPE = "shape"        # per-program structural shape (delta diffing)
-KIND_OUTCOME = "outcome"    # portfolio-member outcome row (triage ranker)
 
-KINDS = (
-    KIND_SAT, KIND_HOARE, KIND_COMM, KIND_COMM_COND, KIND_SHAPE,
-    KIND_OUTCOME,
-)
+KINDS = (KIND_SAT, KIND_HOARE, KIND_COMM, KIND_COMM_COND, KIND_SHAPE)
 
 
 class StoreStats:
@@ -302,28 +296,6 @@ class ProofStore:
         k = (kind, key.hex())
         return k in self._pending or k in self._entries
 
-    def items(self, kind: str):
-        """All ``(hex key, value)`` pairs of *kind*, key-sorted.
-
-        Merged view (pending overrides published); sorted so iteration
-        order — and anything derived from it, like the triage ranker's
-        re-fit — is deterministic regardless of segment layout.  Does
-        not touch the hit/miss counters.
-        """
-        if self.disabled:
-            return []
-        merged = {
-            key: value
-            for (k, key), value in self._entries.items()
-            if k == kind
-        }
-        merged.update(
-            (key, value)
-            for (k, key), value in self._pending.items()
-            if k == kind
-        )
-        return sorted(merged.items())
-
     # -- persistence --------------------------------------------------------
 
     def flush(self) -> int:
@@ -505,14 +477,6 @@ class ProofStore:
         merged.update(self._pending)
         for kind, _key in merged:
             by_kind[kind] += 1
-        outcome_families: dict[str, int] = {}
-        for (kind, _key), value in merged.items():
-            if kind == KIND_OUTCOME and isinstance(value, dict):
-                family = value.get("family")
-                if isinstance(family, str):
-                    outcome_families[family] = (
-                        outcome_families.get(family, 0) + 1
-                    )
         segments = []
         for segment in self._segments():
             try:
@@ -527,7 +491,6 @@ class ProofStore:
             "max_records": self.max_records,
             "total_entries": len(merged),
             "entries_by_kind": by_kind,
-            "outcome_families": dict(sorted(outcome_families.items())),
             "segments": segments,
             "load_warnings": self.load_warnings,
         }

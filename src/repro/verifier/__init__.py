@@ -31,7 +31,6 @@ from .portfolio import (
 from .refinement import VerifierConfig, verify
 from .stats import QueryStats, RoundStats, Verdict, VerificationResult
 from .triage import (
-    MemberRanker,
     ProgramFeatures,
     ProgressMeter,
     RankedMember,
@@ -41,6 +40,7 @@ from .triage import (
     ladder_stages,
     plan_portfolio,
     progress_dominated,
+    rank_members,
 )
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "RoundStats",
     "Verdict",
     "VerificationResult",
-    "MemberRanker",
     "ProgramFeatures",
     "ProgressMeter",
     "RankedMember",
@@ -80,6 +79,7 @@ __all__ = [
     "ladder_stages",
     "plan_portfolio",
     "progress_dominated",
+    "rank_members",
     # loaded on first use (see _LAZY)
     "certify",
     "certify_unreduced",

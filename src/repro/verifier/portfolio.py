@@ -50,7 +50,6 @@ from .triage import (
     TriagePlan,
     emulate_staged_wall,
     plan_portfolio,
-    record_outcome,
 )
 
 DEFAULT_RANDOM_SEEDS = (1, 2, 3)
@@ -302,14 +301,7 @@ def _sequential_triaged(
     the flat race would have produced for it.  Slice attempts that time
     out are discarded, never reported.
     """
-    store = None
-    if config.store_path:
-        from ..store import open_store
-
-        store = open_store(config.store_path)
-    plan = plan_portfolio(
-        program, orders, time_budget=config.time_budget, store=store
-    )
+    plan = plan_portfolio(program, orders, time_budget=config.time_budget)
     order_by_name = {order.name: order for order in orders}
     ranked = plan.order_names()
     rank_index = {name: i for i, name in enumerate(ranked)}
@@ -354,11 +346,6 @@ def _sequential_triaged(
             spent[name] += member.time_seconds
             if member.verdict.solved or is_final:
                 finished[name] = member
-                if store is not None:
-                    record_outcome(
-                        store, program, plan.features, member, config,
-                        stage_config.time_budget,
-                    )
             else:
                 # slice exhausted: discard the budget-truncated result
                 # (never reported) and remember its progress
@@ -396,9 +383,6 @@ def _sequential_triaged(
                 ),
             )
         )
-    if store is not None:
-        store.flush()
-
     result = PortfolioResult(
         program_name=program.name,
         members=members,

@@ -58,7 +58,6 @@ from .triage import (
     ladder_stages,
     plan_portfolio,
     progress_dominated,
-    record_outcome,
 )
 
 
@@ -129,15 +128,8 @@ def run_parallel_portfolio(
     orders = standard_orders(program, seeds)
     triage_on = config.triage
     plan = None
-    store = None
     if triage_on:
-        if config.store_path:
-            from ..store import open_store
-
-            store = open_store(config.store_path)
-        plan = plan_portfolio(
-            program, orders, time_budget=member_timeout, store=store
-        )
+        plan = plan_portfolio(program, orders, time_budget=member_timeout)
         by_name = {order.name: order for order in orders}
         orders = [by_name[m.order_name] for m in plan.ranked]
     # the budget ladder needs a watchdog to slice; without one the race
@@ -432,21 +424,6 @@ def run_parallel_portfolio(
             "preemptions": preempt_count,
             "budget_saved_seconds": round(budget_saved, 4),
         }
-        if store is not None:
-            # outcome rows feed the ranker's re-fit: record members that
-            # genuinely ran to completion (not cancelled, not crashes)
-            for member in members:
-                result = member.final
-                if (
-                    result is not None
-                    and result.verdict is not Verdict.ERROR
-                    and "cancelled" not in (result.failure_reason or "")
-                ):
-                    record_outcome(
-                        store, program, plan.features, result, config,
-                        member_timeout,
-                    )
-            store.flush()
     # attribute parent-side re-interning (deserialized predicates,
     # counterexample guards, ...) to the reported stats: prefer the
     # winner the aggregate reports (the fastest solver, not always the

@@ -505,10 +505,6 @@ class VerificationResult:
     respawns: int = 0
     degraded: bool = False
 
-    @property
-    def time_per_round(self) -> float:
-        return self.time_seconds / self.rounds if self.rounds else 0.0
-
     def summary(self) -> str:
         parts = [
             f"{self.program_name}: {self.verdict.value}",

@@ -6,19 +6,17 @@ while some other member already holds the verdict.  This module is the
 triage layer both portfolio strategies are built on:
 
 * **Feature ranker** — cheap structural features of the program
-  (:class:`ProgramFeatures`) scored by a hand-tuned linear model per
-  member kind (:class:`MemberRanker`), seeding the race with the
-  likely-best order first.  Every finished member appends an outcome
-  row (features, order, verdict, time, rounds) to the proof store
-  under :data:`repro.store.KIND_OUTCOME`; once a benchmark family has
-  enough rows the ranker re-fits its weights from them with a
-  deterministic pure-python ridge regression.  Ranking chooses *start
-  order and budget shares only* — it can never change a verdict.
+  (:class:`ProgramFeatures`) scored by a fixed, hand-tuned linear model
+  per member kind (:data:`DEFAULT_WEIGHTS`, :func:`rank_members`),
+  seeding the race with the likely-best order first.  Like the paper's
+  five-order portfolio it learns nothing between runs.  Ranking
+  chooses *start order and budget shares only* — it can never change a
+  verdict.
 * **Staged budget ladder** (:func:`ladder_stages`) — successive-halving
-  budget slices reusing the :class:`~repro.service.policy.RetryPolicy`
-  escalation math: every member gets a small slice first, survivors
-  escalate, and the final rung always runs at the *full* budget so an
-  unsolved member's final result is bit-identical to the untriaged run.
+  budget slices (:data:`LADDER_FRACTIONS` of the full budget): every
+  member gets a small slice first, survivors escalate, and the final
+  rung always runs at the *full* budget so an unsolved member's final
+  result is bit-identical to the untriaged run.
 * **Progress metering** (:class:`ProgressMeter`,
   :func:`progress_payload`, :func:`progress_dominated`) — the service's
   heartbeat plumbing generalized: workers stream refinement rounds,
@@ -37,35 +35,21 @@ ladder rung *is* the full-budget run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..core.commutativity import SyntacticCommutativity
 from ..core.preference import PreferenceOrder
 from ..lang.program import ConcurrentProgram
 from ..logic import TRUE
-from ..service.policy import RetryPolicy
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .refinement import VerifierConfig
-    from .stats import VerificationResult
-
-#: the ladder: rung budgets are ``full * scale(i) / scale(top)`` for the
-#: escalation policy below — two rungs at scale 4.0 give (0.25, 1.0)
-LADDER_RUNGS = 2
-LADDER_SCALE = 4.0
+#: the ladder's rung budgets as fractions of the full budget; the last
+#: is always 1.0, so an unsolved member's final rung is the full run
+LADDER_FRACTIONS = (0.25, 1.0)
 
 #: progress-preemption rule: a member this many refinement rounds behind
 #: the leader, after this much wall clock, is deferred
 PREEMPT_ROUND_GAP = 3
 PREEMPT_MIN_ELAPSED = 0.75
-
-#: outcome rows per member kind before the ranker trusts a re-fit over
-#: the hand-tuned default weights
-MIN_FIT_ROWS = 8
-
-#: ridge regularization of the re-fit (keeps the normal equations
-#: well-conditioned on small, collinear row sets)
-RIDGE_LAMBDA = 1.0
 
 #: cap on the O(n^2) conflict-density scan; larger alphabets are
 #: sampled with a deterministic stride
@@ -154,22 +138,6 @@ def order_kind(order_name: str) -> str:
     return "seq"
 
 
-def family_of(program_name: str) -> str:
-    """The benchmark family a program belongs to.
-
-    Strips the instance-size suffix and the ``-bug`` marker:
-    ``bluetooth(3)`` and ``bluetooth(4)-bug`` are both ``bluetooth`` —
-    outcome rows pool per family so the re-fit sees the whole scaling
-    series, not one point.
-    """
-    name = program_name
-    if name.endswith("-bug"):
-        name = name[: -len("-bug")]
-    if name.endswith(")") and "(" in name:
-        name = name[: name.rindex("(")]
-    return name
-
-
 # ---------------------------------------------------------------------------
 # The ranker
 # ---------------------------------------------------------------------------
@@ -198,217 +166,39 @@ class RankedMember:
     order_name: str
     score: float
     kind: str
-    fitted: bool = False
 
 
-class MemberRanker:
-    """Scores members with per-kind linear weights; optionally re-fit.
-
-    ``weights`` maps a member kind to a weight vector over
-    :meth:`ProgramFeatures.vector`; ``fitted_kinds`` records which kinds
-    were re-fit from stored outcome rows (the rest use the hand-tuned
-    defaults).  Deterministic end to end: same program, same store
-    contents, same ranking.
-    """
-
-    def __init__(
-        self,
-        weights: dict[str, tuple[float, ...]] | None = None,
-        fitted_kinds: frozenset[str] = frozenset(),
-    ) -> None:
-        self.weights = dict(DEFAULT_WEIGHTS)
-        if weights:
-            self.weights.update(weights)
-        self.fitted_kinds = fitted_kinds
-
-    @classmethod
-    def for_family(cls, store, family: str) -> "MemberRanker":
-        """A ranker for *family*, re-fit from the store's outcome rows
-        when at least :data:`MIN_FIT_ROWS` exist for a member kind."""
-        if store is None:
-            return cls()
-        rows = load_outcome_rows(store, family)
-        by_kind: dict[str, list[dict]] = {}
-        for row in rows:
-            by_kind.setdefault(row["kind"], []).append(row)
-        fitted: dict[str, tuple[float, ...]] = {}
-        for kind, kind_rows in by_kind.items():
-            if len(kind_rows) >= MIN_FIT_ROWS:
-                w = fit_weights(kind_rows)
-                if w is not None:
-                    fitted[kind] = w
-        return cls(fitted, frozenset(fitted))
-
-    def score(self, features: ProgramFeatures, order_name: str) -> float:
-        x = features.vector(order_name)
-        w = self.weights[order_kind(order_name)]
-        return sum(wi * xi for wi, xi in zip(w, x))
-
-    def rank(
-        self,
-        features: ProgramFeatures,
-        orders: Sequence[PreferenceOrder],
-    ) -> list[RankedMember]:
-        """Members best-first; ties break on the canonical member index
-        (seq, lockstep, rand(1..)) so the ranking is total and stable."""
-        scored = [
-            (
-                -self.score(features, order.name),
-                index,
-                RankedMember(
-                    order_name=order.name,
-                    score=self.score(features, order.name),
-                    kind=order_kind(order.name),
-                    fitted=order_kind(order.name) in self.fitted_kinds,
-                ),
-            )
-            for index, order in enumerate(orders)
-        ]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [member for _neg, _idx, member in scored]
-
-
-def fit_weights(rows: Sequence[dict]) -> tuple[float, ...] | None:
-    """Ridge least squares over outcome rows (pure python, deterministic).
-
-    Solves ``(XᵀX + λI) w = Xᵀy`` by Gaussian elimination with partial
-    pivoting, where each row contributes its stored feature vector and
-    the reward ``max(0, 1 - time/budget)`` for solved runs (0 for
-    unsolved).  Returns None for degenerate systems.
-    """
-    dim = len(DEFAULT_WEIGHTS["seq"])
-    xtx = [[RIDGE_LAMBDA if i == j else 0.0 for j in range(dim)]
-           for i in range(dim)]
-    xty = [0.0] * dim
-    for row in rows:
-        x = row.get("x")
-        if not isinstance(x, list) or len(x) != dim:
-            continue
-        y = float(row.get("reward", 0.0))
-        for i in range(dim):
-            xty[i] += x[i] * y
-            for j in range(dim):
-                xtx[i][j] += x[i] * x[j]
-    # Gaussian elimination with partial pivoting
-    a = [xtx[i][:] + [xty[i]] for i in range(dim)]
-    for col in range(dim):
-        pivot = max(range(col, dim), key=lambda r: abs(a[r][col]))
-        if abs(a[pivot][col]) < 1e-12:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1.0 / a[col][col]
-        for r in range(dim):
-            if r == col:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, dim + 1):
-                a[r][c] -= factor * a[col][c]
-    return tuple(a[i][dim] / a[i][i] for i in range(dim))
-
-
-# ---------------------------------------------------------------------------
-# Outcome rows (KIND_OUTCOME)
-# ---------------------------------------------------------------------------
-
-def outcome_key(
-    program: ConcurrentProgram, order_name: str, config: "VerifierConfig"
-) -> bytes:
-    """The outcome-row key: one row per (program, order, mode, search).
-
-    Re-running the same configuration overwrites its row (later
-    segments win), so the store holds the freshest observation per
-    point instead of growing unboundedly.
-    """
-    from ..store import pair_digest, program_digest
-
-    return pair_digest(
-        program_digest(program),
-        b"outcome",
-        order_name.encode(),
-        config.mode.encode(),
-        config.search.encode(),
-    )
-
-
-def record_outcome(
-    store,
-    program: ConcurrentProgram,
-    features: ProgramFeatures,
-    result: "VerificationResult",
-    config: "VerifierConfig",
-    budget: float | None,
-) -> None:
-    """Append one member outcome row under :data:`KIND_OUTCOME`.
-
-    Outcome rows are *advisory* performance observations — the one
-    store kind whose values may vary between runs (wall time).  They
-    are only ever read back by the ranker to choose start order and
-    budget shares, never consulted for a verdict.
-    """
-    if store is None:
-        return
-    from ..store import KIND_OUTCOME
-
-    effective = budget if budget is not None else config.time_budget
-    reward = 0.0
-    if result.verdict.solved and effective:
-        reward = max(0.0, 1.0 - result.time_seconds / effective)
-    elif result.verdict.solved:
-        reward = 1.0 / (1.0 + result.time_seconds)
-    row = {
-        "family": family_of(program.name),
-        "program": program.name,
-        "order": result.order_name,
-        "kind": order_kind(result.order_name),
-        "x": list(features.vector(result.order_name)),
-        "verdict": result.verdict.value,
-        "time_s": round(result.time_seconds, 4),
-        "rounds": result.rounds,
-        "budget": effective,
-        "reward": round(reward, 6),
-    }
-    store.put(KIND_OUTCOME, outcome_key(program, result.order_name, config), row)
-
-
-def load_outcome_rows(store, family: str) -> list[dict]:
-    """All outcome rows of *family*, key-sorted (deterministic)."""
-    from ..store import KIND_OUTCOME
-
-    rows = []
-    for _key, value in store.items(KIND_OUTCOME):
-        if isinstance(value, dict) and value.get("family") == family:
-            rows.append(value)
-    return rows
+def rank_members(
+    features: ProgramFeatures, orders: Sequence[PreferenceOrder]
+) -> list[RankedMember]:
+    """Members best-first by their kind's :data:`DEFAULT_WEIGHTS` score;
+    ties keep the canonical member order (seq, lockstep, rand(1..)), so
+    the ranking is total and stable."""
+    members = []
+    for order in orders:
+        kind = order_kind(order.name)
+        x = features.vector(order.name)
+        score = sum(wi * xi for wi, xi in zip(DEFAULT_WEIGHTS[kind], x))
+        members.append(RankedMember(order.name, score, kind))
+    return sorted(members, key=lambda member: -member.score)
 
 
 # ---------------------------------------------------------------------------
 # The budget ladder
 # ---------------------------------------------------------------------------
 
-def ladder_policy() -> RetryPolicy:
-    """The escalation policy the ladder's rung budgets come from."""
-    return RetryPolicy(max_attempts=LADDER_RUNGS, budget_scale=LADDER_SCALE)
-
-
-def ladder_stages(
-    full_budget: float | None, policy: RetryPolicy | None = None
-) -> list[float | None]:
+def ladder_stages(full_budget: float | None) -> list[float | None]:
     """Successive-halving rung budgets, smallest first, full budget last.
 
-    Reuses :meth:`RetryPolicy.scale`: rung *i* (1-based) gets
-    ``full * scale(i) / scale(max_attempts)``, so the final rung is
-    always exactly the full budget — the invariant that keeps unsolved
-    members bit-identical to the untriaged run.  Without a full budget
-    there is nothing to slice: one unbounded rung.
+    Rung *i* gets ``full * LADDER_FRACTIONS[i]``; the final fraction is
+    1.0, so the final rung is always exactly the full budget — the
+    invariant that keeps unsolved members bit-identical to the
+    untriaged run.  Without a full budget there is nothing to slice:
+    one unbounded rung.
     """
     if full_budget is None:
         return [None]
-    policy = policy or ladder_policy()
-    top = policy.scale(policy.max_attempts)
-    return [
-        full_budget * policy.scale(attempt) / top
-        for attempt in range(1, policy.max_attempts + 1)
-    ]
+    return [full_budget * fraction for fraction in LADDER_FRACTIONS]
 
 
 def emulate_staged_wall(
@@ -510,7 +300,6 @@ class TriagePlan:
     features: ProgramFeatures
     ranked: list[RankedMember]
     stage_budgets: list[float | None]
-    family: str
 
     def order_names(self) -> list[str]:
         return [m.order_name for m in self.ranked]
@@ -521,15 +310,11 @@ def plan_portfolio(
     orders: Sequence[PreferenceOrder],
     *,
     time_budget: float | None = None,
-    store=None,
 ) -> TriagePlan:
     """Rank *orders* for *program* and lay out the budget ladder."""
     features = extract_features(program, orders)
-    family = family_of(program.name)
-    ranker = MemberRanker.for_family(store, family)
     return TriagePlan(
         features=features,
-        ranked=ranker.rank(features, orders),
+        ranked=rank_members(features, orders),
         stage_budgets=ladder_stages(time_budget),
-        family=family,
     )

@@ -7,7 +7,7 @@ marker; enable with ``pytest -m slow``.
 
 import pytest
 
-from repro import Verdict, VerifierConfig, verify
+from repro import VerifierConfig, verify
 from repro.benchmarks import all_benchmarks, bluetooth, by_name, suite
 from repro.benchmarks import svcomp, weaver
 from repro.lang import explore_concrete

@@ -248,6 +248,20 @@ class TestOtherCommands:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("parse error: ")
 
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["reduce"], ["portfolio"], ["orders"], ["diff-verify"]],
+    )
+    def test_missing_file_is_an_error_line(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cprog")
+        argv = command + [missing]
+        if command == ["diff-verify"]:
+            argv += [missing, "--proof-store", str(tmp_path / "store")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert missing in err
+
     def test_reduce_dot(self, program_file, tmp_path, capsys):
         dot = tmp_path / "out.dot"
         assert main(["reduce", program_file, "--dot", str(dot)]) == 0
@@ -292,17 +306,3 @@ class TestTriageCommands:
              "--show-cache-stats"]
         ) == 0
         assert "triage:" in capsys.readouterr().out
-
-    def test_store_inspect_shows_outcome_rows(
-        self, program_file, tmp_path, capsys
-    ):
-        store = str(tmp_path / "store")
-        assert main(
-            ["portfolio", program_file, "--timeout", "8",
-             "--proof-store", store]
-        ) == 0
-        capsys.readouterr()
-        assert main(["store", "inspect", store]) == 0
-        out = capsys.readouterr().out
-        assert "outcome" in out
-        assert "outcome rows (triage advisory):" in out

@@ -1,7 +1,5 @@
 """Commutativity relation tests."""
 
-import pytest
-
 from repro.core import (
     ConditionalCommutativity,
     FullCommutativity,
@@ -9,7 +7,7 @@ from repro.core import (
     SyntacticCommutativity,
 )
 from repro.lang import assign, assume, havoc
-from repro.logic import add, eq, gt, intc, le, sub, var
+from repro.logic import add, eq, gt, intc, sub, var
 
 x, y, z = var("x"), var("y"), var("z")
 

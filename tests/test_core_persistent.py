@@ -24,8 +24,8 @@ from repro.core import (
     is_weakly_persistent,
 )
 from repro.core.reduction import ReducedProduct
-from repro.lang import assign, assume, parse
-from repro.logic import Solver, add, gt, intc, var
+from repro.lang import assign, parse
+from repro.logic import Solver, add, intc, var
 from repro.verifier.checkproof import ProofChecker
 
 from helpers import make_program, small_programs, straight_line_thread

@@ -10,24 +10,20 @@ These tests realize the paper's central claims on small instances:
   order, the combined reduction has linearly many states.
 """
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata import count_reachable_states, materialize
+from repro.automata import count_reachable_states
 from repro.core import (
     FullCommutativity,
     LockstepOrder,
     RandomOrder,
     SyntacticCommutativity,
     ThreadUniformOrder,
-    minimal_word,
-    partition_into_classes,
 )
 from repro.core.reduction import ReducedProduct
 from repro.lang import Statement, assign, assume, skip
-from repro.logic import add, eq, gt, intc, var
+from repro.logic import add, gt, intc, var
 
 from helpers import (
     check_reduction_oracle,

@@ -30,14 +30,12 @@ from repro.delta import (
     RESTRUCTURED,
     UNCHANGED,
     DeltaTracker,
-    EditPlan,
     diff_programs,
     load_shape,
     program_shape,
     store_shape,
 )
 from repro.lang import ConcurrentProgram, assign, parse
-from repro.lang.statements import Statement
 from repro.logic import Solver, TRUE, add, intc, le, var
 from repro.store import (
     KIND_SHAPE,

@@ -2,9 +2,10 @@
 
 ``import repro`` loads exactly the modules that a default ``verify()``, a
 sequential ``verify_portfolio()`` and a store-backed ``verify()`` against
-a baseline execute; everything else (the parallel runtime, the service
-server, the certificate checker, the standalone reduction automata, the
-concrete interpreter, the semantic simplifier) loads on first use.  Each
+a baseline execute; everything else (the parallel runtime, the whole
+service package, the certificate checker, the standalone reduction
+automata, the concrete interpreter, the semantic simplifier) loads on
+first use.  Each
 check runs in a new ``python -S`` process, since this test session has
 long since imported everything.
 """
@@ -29,6 +30,8 @@ OFF_PATH = (
     "repro.verifier.runtime",
     "repro.verifier.pool",
     "repro.verifier.certify",
+    "repro.service",
+    "repro.service.policy",
     "repro.service.server",
     "repro.core.reduction",
     "repro.core.sleepset",

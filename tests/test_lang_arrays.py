@@ -5,7 +5,7 @@ import pytest
 from repro import Verdict, VerifierConfig, parse, verify
 from repro.core import ConditionalCommutativity
 from repro.lang import ParseError, explore_concrete, parse_program
-from repro.logic import Select, Store, intc, ne, var
+from repro.logic import Store, ne, var
 
 
 class TestParsing:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lang import ast, compile_thread
 from repro.lang.cfg import CompileError
-from repro.logic import Solver, and_, eq, evaluate, gt, intc, le, not_, var
+from repro.logic import Solver, and_, gt, intc, var
 
 x, y = var("x"), var("y")
 

@@ -1,7 +1,5 @@
 """Concrete interpreter tests."""
 
-import pytest
-
 from repro.lang import explore_concrete, parse, replay
 
 

@@ -160,7 +160,7 @@ class TestStrongestPostcondition:
         assert solver.implies(s.sp(phi), psi) == solver.implies(phi, s.wp(psi))
 
     def test_sp_arrays_unsupported(self):
-        from repro.logic import avar, intc as ic, select, store
+        from repro.logic import avar, intc as ic, store
         s = Statement(0, "aw", updates={"h": store(avar("h"), ic(0), ic(1))})
         with pytest.raises(NotImplementedError):
             s.sp(TRUE)

@@ -5,8 +5,6 @@ import pytest
 from repro.logic import (
     Solver,
     SolverUnknown,
-    TRUE,
-    ackermannize,
     and_,
     avar,
     contains_arrays,
@@ -14,15 +12,12 @@ from repro.logic import (
     evaluate,
     gt,
     intc,
-    ite,
     le,
     ne,
-    not_,
     select,
     store,
     var,
 )
-from repro.logic.arrays import UnsupportedArrayFormula
 
 h = avar("h")
 i, j, x = var("i"), var("j"), var("x")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.logic import (
     Solver,
-    TRUE,
     add,
     and_,
     eliminate_exists,
@@ -20,7 +19,6 @@ from repro.logic import (
     le,
     lt,
     mul,
-    not_,
     or_,
     var,
 )

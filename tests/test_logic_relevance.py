@@ -1,9 +1,8 @@
 """Relevance filtering tests (exactness and soundness)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.logic import Solver, TRUE, and_, eq, ge, gt, intc, le, var
+from repro.logic import Solver, TRUE, and_, ge, intc, le, var
 from repro.logic.relevance import conjuncts_of, relevant_context
 
 w, x, y, z = var("w"), var("x"), var("y"), var("z")

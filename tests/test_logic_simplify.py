@@ -14,7 +14,6 @@ from repro.logic import (
     intc,
     le,
     lt,
-    not_,
     or_,
     var,
 )

@@ -24,7 +24,6 @@ from repro.logic import (
     ne,
     not_,
     or_,
-    sub,
     var,
 )
 from repro.logic.solver import SolverUnknown

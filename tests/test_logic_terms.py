@@ -5,7 +5,6 @@ from repro.logic import (
     TRUE,
     add,
     and_,
-    boolc,
     eq,
     evaluate,
     free_vars,
@@ -25,7 +24,7 @@ from repro.logic import (
     substitute,
     var,
 )
-from repro.logic.terms import Add, And, IntConst, Le, Or, compile_eval
+from repro.logic.terms import Add, compile_eval
 
 
 x, y, z = var("x"), var("y"), var("z")

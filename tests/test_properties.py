@@ -10,9 +10,6 @@ These tie independent components to each other:
   set, with and without commutativity memoization.
 """
 
-import itertools
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import make_program, reduction_language, straight_line_thread
@@ -30,12 +27,10 @@ from repro.logic import (
     and_,
     eq,
     evaluate,
-    free_vars,
     ge,
     gt,
     intc,
     le,
-    mul,
     sub,
     var,
 )

@@ -24,7 +24,6 @@ from repro.service.policy import (
     BreakerPolicy,
     RetryPolicy,
     ServicePolicies,
-    TenantPolicy,
 )
 from repro.service.queue import FairQueue, Job
 from repro.service.server import ServiceConfig, VerificationService

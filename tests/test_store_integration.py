@@ -23,8 +23,10 @@ from repro.logic import Solver, SolverUnknown, add, eq, intc, le, var
 from repro.store import (
     FORMAT_VERSION,
     KIND_COMM,
+    KIND_COMM_COND,
     KIND_HOARE,
     KIND_SAT,
+    KIND_SHAPE,
     ProofStore,
     open_store,
     reset_store_registry,
@@ -213,24 +215,30 @@ def test_conditional_commutativity_served_from_store(tmp_path):
     assert warm_store.stats.hits >= 1
 
 
-def test_old_format_store_with_explore_record_opens_cold(tmp_path, caplog):
-    """A store written before the ``explore`` kind was dropped.
+@pytest.mark.parametrize(
+    "version, record",
+    [
+        (1, {"k": "explore", "key": "ab" * 16,
+             "v": {"verdict": "correct", "rounds": 1, "exploration": {}}}),
+        (2, {"k": "outcome", "key": "cd" * 16,
+             "v": {"order": "seq", "verdict": "correct", "time_s": 0.1}}),
+    ],
+    ids=["1-explore", "2-outcome"],
+)
+def test_old_format_store_opens_cold(tmp_path, caplog, version, record):
+    """A store written before a record kind was dropped.
 
-    Format 1 stores may hold ``explore`` records, a kind this loader no
-    longer knows.  The format bump routes them through the version-skew
-    cold start: one warning, no records read, the same verdict.
+    Format 1 stores may hold ``explore`` records and format 2 stores
+    ``outcome`` rows, kinds this loader no longer knows.  The format
+    bump routes them through the version-skew cold start: one warning,
+    no records read, the same verdict.
     """
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     path = tmp_path / "s"
     path.mkdir()
     (path / MANIFEST_NAME).write_text(
-        json.dumps({"format": 1, "max_records": 500_000}) + "\n"
+        json.dumps({"format": version, "max_records": 500_000}) + "\n"
     )
-    record = {
-        "k": "explore",
-        "key": "ab" * 16,
-        "v": {"verdict": "correct", "rounds": 1, "exploration": {}},
-    }
     (path / "segment-0001.log").write_text(_frame(json.dumps(record)))
     bench = _bench("mutex-atomic(2)")
     plain = _run(bench, VerifierConfig(time_budget=60))
@@ -238,11 +246,12 @@ def test_old_format_store_with_explore_record_opens_cold(tmp_path, caplog):
         old = _run(bench, VerifierConfig(store_path=str(path), time_budget=60))
     warnings = [r for r in caplog.records if r.name == "repro.store"]
     assert len(warnings) == 1
-    assert "format version 1" in warnings[0].getMessage()
+    assert f"format version {version}" in warnings[0].getMessage()
     assert _fingerprint(old) == _fingerprint(plain)
     assert old.query_stats.store_hits == 0
     assert old.query_stats.store_writes == 0  # foreign data untouched
-    assert json.loads((path / MANIFEST_NAME).read_text())["format"] == 1
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    assert manifest["format"] == version
 
 
 def test_portfolio_with_store(tmp_path):
@@ -256,6 +265,16 @@ def test_portfolio_with_store(tmp_path):
     assert warm.rounds == cold.rounds
     assert warm.proof_size == cold.proof_size
     assert warm.query_stats.store_hits > 0
+    # the race records no observations of its own: every stored record
+    # is a deterministic fact
+    stored = {
+        json.loads(line.partition(":")[2])["k"]
+        for segment in (tmp_path / "s").glob("segment-*.log")
+        for line in segment.read_text().splitlines()
+    }
+    assert stored and stored <= {
+        KIND_SAT, KIND_HOARE, KIND_COMM, KIND_COMM_COND, KIND_SHAPE
+    }
 
 
 def test_store_counters_flow_through_reports(tmp_path):

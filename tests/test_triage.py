@@ -1,8 +1,8 @@
 """Portfolio triage tests: feature extraction, ranking determinism,
 the staged budget ladder, the emulated staged wall clock (regression
 for the pre-triage max-over-members bug), the preemption decision
-function, outcome rows in the proof store, and triage-on/off verdict
-differentials for both portfolio strategies."""
+function, and triage-on/off verdict differentials for both portfolio
+strategies."""
 
 from __future__ import annotations
 
@@ -11,25 +11,19 @@ import pytest
 from repro import VerifierConfig
 from repro.benchmarks.bluetooth import bluetooth
 from repro.benchmarks.mutex import dekker
-from repro.store import KIND_OUTCOME, ProofStore
 from repro.verifier import (
-    MemberRanker,
+    ProgramFeatures,
     Verdict,
     emulate_staged_wall,
     extract_features,
     ladder_stages,
     plan_portfolio,
     progress_dominated,
+    rank_members,
     standard_orders,
     verify_portfolio,
 )
-from repro.verifier.triage import (
-    DEFAULT_WEIGHTS,
-    MIN_FIT_ROWS,
-    family_of,
-    fit_weights,
-    order_kind,
-)
+from repro.verifier.triage import order_kind
 
 
 def config(**kw):
@@ -86,13 +80,22 @@ class TestRanking:
         plan = plan_portfolio(program, orders)
         assert sorted(plan.order_names()) == sorted(o.name for o in orders)
 
+    def test_ties_keep_canonical_member_order(self):
+        program = dekker()
+        orders = standard_orders(program)
+        # no dispersion: the three random members score exactly alike
+        features = ProgramFeatures(
+            num_threads=2, alphabet_size=4,
+            conflict_density=0.5, guard_density=0.5,
+        )
+        ranked = [m.order_name for m in rank_members(features, orders)]
+        rand = [o.name for o in orders if order_kind(o.name) == "rand"]
+        assert [n for n in ranked if n in rand] == rand
+
     def test_kind_and_family_helpers(self):
         assert order_kind("seq") == "seq"
         assert order_kind("lockstep") == "lockstep"
         assert order_kind("rand(3)") == "rand"
-        assert family_of("bluetooth(3)") == "bluetooth"
-        assert family_of("bluetooth(4)-bug") == "bluetooth"
-        assert family_of("dekker") == "dekker"
 
 
 class TestLadder:
@@ -147,73 +150,6 @@ class TestPreemptionDecision:
         assert not progress_dominated(
             {"elapsed": 5.0, "rounds": 3}, leader_rounds=5
         )
-
-
-class TestFitWeights:
-    def _rows(self, w, xs):
-        return [
-            {"x": list(x), "reward": sum(wi * xi for wi, xi in zip(w, x))}
-            for x in xs
-        ]
-
-    def test_recovers_planted_model(self):
-        planted = (0.5, -1.0, 0.25, 0.0, 0.1)
-        xs = [
-            (1.0, a / 10.0, b / 10.0, t / 8.0, d / 10.0)
-            for a in range(11) for b in range(6)
-            for t, d in ((2, 1), (4, 5), (8, 9))
-        ]
-        fitted = fit_weights(self._rows(planted, xs))
-        assert fitted is not None
-        # ridge shrinks the coefficients; what must survive is the
-        # *prediction* — scores close to the planted model's rewards
-        for x in xs:
-            want = sum(wi * xi for wi, xi in zip(planted, x))
-            got = sum(wi * xi for wi, xi in zip(fitted, x))
-            assert abs(got - want) < 0.12
-
-    def test_deterministic(self):
-        rows = self._rows((1.0, 0.5, 0.0, 0.0, 0.0),
-                          [(1.0, i / 8.0, 0.1, 0.25, 0.0) for i in range(12)])
-        assert fit_weights(rows) == fit_weights(rows)
-
-    def test_empty_rows_give_zero_model(self):
-        assert fit_weights([]) == (0.0,) * len(DEFAULT_WEIGHTS["seq"])
-
-
-class TestOutcomeRows:
-    def test_sequential_run_records_rows(self, tmp_path):
-        store_path = str(tmp_path / "store")
-        outcome = verify_portfolio(
-            dekker(), config(store_path=store_path, time_budget=20.0)
-        )
-        assert outcome.verdict == Verdict.CORRECT
-        store = ProofStore(store_path)
-        rows = list(store.items(KIND_OUTCOME))
-        assert rows, "finished members must append outcome rows"
-        families = store.inspect()["outcome_families"]
-        assert families.get("dekker", 0) >= 1
-
-    def test_ranker_refits_after_enough_rows(self, tmp_path):
-        from repro.store import KIND_OUTCOME as KO
-        from repro.store import pair_digest, program_digest
-
-        store = ProofStore(str(tmp_path / "store"))
-        digest = program_digest(dekker())
-        for i in range(MIN_FIT_ROWS):
-            row = {
-                "family": "dekker",
-                "kind": "seq",
-                "x": [1.0, i / 10.0, 0.2, 0.25, 0.0],
-                "reward": 0.5 + i / 100.0,
-            }
-            store.put(KO, pair_digest(digest, b"outcome", str(i).encode()), row)
-        store.flush()
-        ranker = MemberRanker.for_family(store, "dekker")
-        assert "seq" in ranker.fitted_kinds
-        assert ranker.weights["seq"] != DEFAULT_WEIGHTS["seq"]
-        # other kinds still run on the hand-tuned defaults
-        assert ranker.weights["rand"] == DEFAULT_WEIGHTS["rand"]
 
 
 class TestDifferential:

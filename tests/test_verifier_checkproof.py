@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ConditionalCommutativity, SyntacticCommutativity, ThreadUniformOrder
 from repro.lang import parse
-from repro.logic import Solver, TRUE, eq, intc, var
+from repro.logic import Solver, intc, var
 from repro.verifier import (
     FloydHoareAutomaton,
     ProofChecker,

@@ -21,7 +21,6 @@ from repro.core import (
     ThreadUniformOrder,
 )
 from repro.lang import explore_concrete
-from repro.verifier import UselessStateCache
 
 
 CORRECT_PROGRAMS = {

@@ -3,19 +3,7 @@
 import pytest
 
 from repro.lang import assign, assume
-from repro.logic import (
-    FALSE,
-    Solver,
-    TRUE,
-    add,
-    eq,
-    ge,
-    gt,
-    intc,
-    le,
-    not_,
-    var,
-)
+from repro.logic import FALSE, Solver, TRUE, add, eq, ge, gt, intc, le, var
 from repro.verifier import BOTTOM, FloydHoareAutomaton
 
 x, y = var("x"), var("y")

@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.lang import assign, assume, havoc, parse
-from repro.logic import (
-    FALSE,
-    Solver,
-    TRUE,
-    add,
-    eq,
-    ge,
-    gt,
-    intc,
-    le,
-    lt,
-    var,
-)
+from repro.lang import assign, assume, havoc
+from repro.logic import FALSE, Solver, TRUE, add, eq, ge, gt, intc, lt, var
 from repro.verifier import (
     annotate_trace,
     extract_predicates,

@@ -1,7 +1,5 @@
 """Portfolio internals tests."""
 
-import pytest
-
 from repro import parse
 from repro.verifier import (
     DEFAULT_RANDOM_SEEDS,

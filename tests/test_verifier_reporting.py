@@ -65,7 +65,7 @@ class TestRenderers:
 
     def test_annotation_rendering(self):
         from repro.lang import assign
-        from repro.logic import FALSE, add, ge, intc, var
+        from repro.logic import add, ge, intc, var
 
         trace = [assign(0, "x", add(var("x"), intc(1)))]
         annotation = annotate_trace(trace, ge(var("x"), intc(1)))
