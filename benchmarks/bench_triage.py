@@ -7,11 +7,13 @@ Two contracts, pinned against ``benchmarks/triage_baseline.json``:
   checked-in baseline exactly.  Ranking drift means the feature
   extractor or the weights changed; that must be a reviewed decision,
   not an accident.
-* **Verdict bit-identity** — a triaged sequential portfolio must agree
-  verdict-for-verdict with the untriaged run, with every member that
-  completed under triage bit-identical (rounds, proof size, states) to
-  its untriaged twin, and must report ``triage_budget_saved_seconds``
-  greater than zero on a budgeted race it wins early.  Wall seconds are
+* **Verdict bit-identity** — every member that completed in a triaged
+  sequential portfolio must be bit-identical (verdict, rounds, proof
+  size, states) to its twin: a direct ``verify()`` of that order under
+  the full config, with a fresh solver and conditional commutativity.
+  The race's verdict must be its winner twin's, and a budgeted race it
+  wins early must report ``triage_budget_saved_seconds`` greater than
+  zero.  Wall seconds are
   reported (in the git-ignored ``benchmarks/results/timings/``), never
   asserted.
 
@@ -29,8 +31,15 @@ from pathlib import Path
 
 from repro import VerifierConfig
 from repro.benchmarks import by_name
+from repro.core import ConditionalCommutativity
 from repro.harness import atomic_write_text, emit, emit_timings
-from repro.verifier import plan_portfolio, standard_orders, verify_portfolio
+from repro.logic import Solver
+from repro.verifier import (
+    plan_portfolio,
+    standard_orders,
+    verify,
+    verify_portfolio,
+)
 
 BASELINE_PATH = Path(__file__).resolve().parent / "triage_baseline.json"
 
@@ -86,22 +95,30 @@ def test_triage_plan_matches_baseline(benchmark):
     )
 
 
+def _direct_twin(program, order, config):
+    """What the race's member runs: a fresh solver and conditional
+    commutativity under the full config."""
+    solver = Solver()
+    return verify(
+        program, order, ConditionalCommutativity(solver),
+        config=config, solver=solver,
+    )
+
+
 def _differential(name: str) -> dict:
     program = by_name(name).build()
-    triaged = verify_portfolio(
-        program, VerifierConfig(max_rounds=60, time_budget=DIFF_BUDGET)
-    )
-    flat = verify_portfolio(
-        program,
-        VerifierConfig(max_rounds=60, time_budget=DIFF_BUDGET, triage=False),
-    )
-    flat_members = {m.order_name: m for m in flat.members}
+    config = VerifierConfig(max_rounds=60, time_budget=DIFF_BUDGET)
+    triaged = verify_portfolio(program, config)
+    orders = {order.name: order for order in standard_orders(program)}
     completed = mismatched = 0
+    winner_twin = None
     for member in triaged.members:
         if member.failure_reason and "cancelled" in member.failure_reason:
             continue
         completed += 1
-        twin = flat_members[member.order_name]
+        twin = _direct_twin(program, orders[member.order_name], config)
+        if member is triaged.winner:
+            winner_twin = twin
         if (
             member.verdict != twin.verdict
             or member.rounds != twin.rounds
@@ -112,7 +129,9 @@ def _differential(name: str) -> dict:
     counters = triaged.triage_counters or {}
     return {
         "verdict": triaged.aggregate().verdict.value,
-        "flat_verdict": flat.aggregate().verdict.value,
+        "twin_verdict": (
+            winner_twin.verdict.value if winner_twin is not None else None
+        ),
         "completed": completed,
         "mismatched": mismatched,
         "budget_saved": counters.get("budget_saved_seconds", 0.0),
@@ -139,13 +158,13 @@ def test_triage_verdicts_bit_identical(benchmark):
     emit("bench_triage_diff", lines)
     emit_timings("bench_triage_diff", walls)
     for name, row in rows.items():
-        assert row["verdict"] == row["flat_verdict"], (
+        assert row["verdict"] == row["twin_verdict"], (
             f"{name}: triage changed the verdict "
-            f"({row['verdict']} vs {row['flat_verdict']})"
+            f"({row['verdict']} vs {row['twin_verdict']})"
         )
         assert row["mismatched"] == 0, (
             f"{name}: {row['mismatched']} completed members drifted from "
-            "their untriaged twins"
+            "their direct verify() twins"
         )
         assert row["completed"] >= 1
         assert row["budget_saved"] > 0.0, (

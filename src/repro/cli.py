@@ -215,7 +215,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         time_budget=args.timeout,
         incremental=not args.no_incremental,
         store_path=_store_path(args),
-        triage=args.triage,
     )
     if args.parallel_portfolio:
         from .verifier import RetryPolicy
@@ -379,8 +378,6 @@ def _submit_spec(args: argparse.Namespace, *, bench=None, path=None) -> dict:
         spec["cost"] = args.cost
     if getattr(args, "baseline_digest", None):
         spec["baseline_digest"] = args.baseline_digest
-    if getattr(args, "no_triage", False):
-        spec["triage"] = False
     return spec
 
 
@@ -567,16 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="respawn UNKNOWN/TIMEOUT/ERROR members up to N times with "
              "doubled solver budgets and deadlines",
     )
-    p_portfolio.add_argument(
-        "--triage", dest="triage", action="store_true", default=True,
-        help="feature-ranked member order, staged budget ladder, and "
-             "progress-based loser preemption (default: on)",
-    )
-    p_portfolio.add_argument(
-        "--no-triage", dest="triage", action="store_false",
-        help="flat portfolio: canonical member order, full budgets, no "
-             "preemption",
-    )
     p_portfolio.set_defaults(func=_cmd_portfolio)
 
     p_orders = sub.add_parser(
@@ -703,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="program digest of a previously verified baseline; the "
              "worker serves unchanged-thread facts from its proof store "
              "(delta verification of an edit against a prior job)",
-    )
-    p_submit.add_argument(
-        "--no-triage", action="store_true",
-        help="disable portfolio triage for these jobs (worker-side "
-             "VerifierConfig override)",
     )
     p_submit.set_defaults(func=_cmd_submit)
 

@@ -17,6 +17,7 @@ from .commutativity import (
     composition_equal_condition,
 )
 from .layers import (
+    MODES,
     ContextLayer,
     LayerStats,
     SleepLayer,
@@ -43,6 +44,7 @@ __all__ = [
     "SemanticCommutativity",
     "SyntacticCommutativity",
     "composition_equal_condition",
+    "MODES",
     "ContextLayer",
     "LayerStats",
     "SleepLayer",
@@ -62,7 +64,6 @@ __all__ = [
     "partition_into_classes",
     "is_membrane",
     "is_weakly_persistent",
-    "MODES",
     "ReducedProduct",
     "reduce_program",
     "DfaBase",
@@ -76,7 +77,6 @@ _LAZY = {
     "partition_into_classes": ".mazurkiewicz",
     "is_membrane": ".membrane",
     "is_weakly_persistent": ".membrane",
-    "MODES": ".reduction",
     "ReducedProduct": ".reduction",
     "reduce_program": ".reduction",
     "DfaBase": ".sleepset",

@@ -45,6 +45,8 @@ from .commutativity import CommutativityRelation
 from .preference import Context, PreferenceOrder
 
 BaseState = Hashable
+#: the reduction modes of :func:`build_reduction_layers` (Table 2)
+MODES = ("combined", "sleep", "persistent", "none")
 #: a memoized outgoing edge: (letter, base successor, sort key, next context)
 OrderedEdge = tuple[Statement, BaseState, tuple, Context]
 

@@ -27,13 +27,11 @@ from ..automata import DFA, materialize
 from ..lang.program import ConcurrentProgram, ProductState
 from ..lang.statements import Statement
 from .commutativity import CommutativityRelation, SyntacticCommutativity
-from .layers import build_reduction_layers
+from .layers import MODES, build_reduction_layers
 from .persistent import PersistentSetProvider
 from .preference import Context, PreferenceOrder, ThreadUniformOrder
 
 ReducedState = tuple[ProductState, frozenset[Statement], Context]
-
-MODES = ("combined", "sleep", "persistent", "none")
 
 
 class ReducedProduct:

@@ -17,10 +17,11 @@ Environment knobs:
   repro.verifier.faults), applied to every verification run;
 * ``REPRO_PROOF_STORE`` — directory of a persistent content-addressed
   proof store (repro.store); solved solver/Hoare/commutativity verdicts
-  are reused across harness sessions;
-* ``REPRO_TRIAGE=0`` — disable portfolio triage (feature-ranked member
-  order, staged budget ladders, progress preemption; see
-  repro.verifier.triage) and race all members flat.  Default on.
+  are reused across harness sessions.
+
+The sequential portfolio is always triaged (feature-ranked member
+order and a staged budget ladder, see repro.verifier.triage); the
+parallel one is the plain race of all five members at once.
 """
 
 from __future__ import annotations
@@ -86,17 +87,12 @@ def proof_store_path() -> str | None:
     return os.environ.get("REPRO_PROOF_STORE") or None
 
 
-def triage_enabled() -> bool:
-    return os.environ.get("REPRO_TRIAGE", "1") not in ("0", "")
-
-
 def _config(**overrides) -> VerifierConfig:
     base = dict(
         max_rounds=round_budget(),
         time_budget=time_budget(),
         track_memory=True,
         store_path=proof_store_path(),
-        triage=triage_enabled(),
     )
     base.update(overrides)
     return VerifierConfig(**base)

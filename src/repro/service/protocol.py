@@ -37,6 +37,9 @@ spec injected into this job's workers).
 from __future__ import annotations
 
 import json
+import math
+
+from ..core.layers import MODES
 
 #: newline-delimited JSON hard cap — a line longer than this is a
 #: protocol violation (protects the server from an unframed peer)
@@ -59,6 +62,8 @@ OPS = (
 
 _ORDER_PREFIXES = ("seq", "lockstep", "rand:")
 
+_SEARCHES = ("bfs", "dfs")
+
 #: job-spec keys copied through admission (everything else is dropped,
 #: so a peer cannot smuggle fields into the journal)
 JOB_FIELDS = (
@@ -76,7 +81,6 @@ JOB_FIELDS = (
     "max_attempts",
     "faults",
     "baseline_digest",
-    "triage",
 )
 
 
@@ -149,29 +153,34 @@ def normalize_job_spec(raw: dict) -> dict:
     # "bluetooth(4)" share one failure domain)
     if not spec.get("family"):
         spec["family"] = name.partition("(")[0]
-    cost = spec.setdefault("cost", 1)
-    if not isinstance(cost, int) or cost < 1:
-        raise ProtocolError("'cost' must be a positive integer")
-    for key, typ in (
-        ("mode", str),
-        ("search", str),
-        ("faults", str),
-        ("baseline_digest", str),
-    ):
-        if key in spec and not isinstance(spec[key], typ):
-            raise ProtocolError(f"{key!r} must be a {typ.__name__}")
-    for key in ("max_rounds", "max_attempts"):
+    spec.setdefault("cost", 1)
+    for key in ("faults", "baseline_digest"):
+        if key in spec and not isinstance(spec[key], str):
+            raise ProtocolError(f"{key!r} must be a str")
+    if spec.get("mode", MODES[0]) not in MODES:
+        raise ProtocolError(
+            f"unknown mode {spec['mode']!r}; expected one of {MODES}"
+        )
+    if spec.get("search", _SEARCHES[0]) not in _SEARCHES:
+        raise ProtocolError(
+            f"unknown search {spec['search']!r}; expected one of {_SEARCHES}"
+        )
+    # bool is an int subclass: ``true`` must not pass as 1
+    for key in ("cost", "max_rounds", "max_attempts"):
         if key in spec and (
-            not isinstance(spec[key], int) or spec[key] < 1
+            not isinstance(spec[key], int)
+            or isinstance(spec[key], bool)
+            or spec[key] < 1
         ):
             raise ProtocolError(f"{key!r} must be a positive integer")
     if "timeout" in spec:
+        if isinstance(spec["timeout"], bool):
+            raise ProtocolError("'timeout' must be a number")
         try:
             spec["timeout"] = float(spec["timeout"])
         except (TypeError, ValueError) as exc:
             raise ProtocolError("'timeout' must be a number") from exc
-        if spec["timeout"] <= 0:
-            raise ProtocolError("'timeout' must be positive")
-    if "triage" in spec and not isinstance(spec["triage"], bool):
-        raise ProtocolError("'triage' must be a boolean")
+        # a NaN deadline never passes, so its watchdog could never fire
+        if not math.isfinite(spec["timeout"]) or spec["timeout"] <= 0:
+            raise ProtocolError("'timeout' must be a positive finite number")
     return spec

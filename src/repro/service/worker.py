@@ -58,8 +58,6 @@ def job_config(spec: dict, base: VerifierConfig, scale: float) -> VerifierConfig
         overrides["max_rounds"] = spec["max_rounds"]
     if spec.get("baseline_digest"):
         overrides["baseline_digest"] = spec["baseline_digest"]
-    if spec.get("triage") is not None:
-        overrides["triage"] = bool(spec["triage"])
     config = replace(base, **overrides) if overrides else base
     if config.time_budget is not None and scale != 1.0:
         config = replace(config, time_budget=config.time_budget * scale)

@@ -32,14 +32,12 @@ from .refinement import VerifierConfig, verify
 from .stats import QueryStats, RoundStats, Verdict, VerificationResult
 from .triage import (
     ProgramFeatures,
-    ProgressMeter,
     RankedMember,
     TriagePlan,
     emulate_staged_wall,
     extract_features,
     ladder_stages,
     plan_portfolio,
-    progress_dominated,
     rank_members,
 )
 
@@ -71,19 +69,18 @@ __all__ = [
     "Verdict",
     "VerificationResult",
     "ProgramFeatures",
-    "ProgressMeter",
     "RankedMember",
     "TriagePlan",
     "emulate_staged_wall",
     "extract_features",
     "ladder_stages",
     "plan_portfolio",
-    "progress_dominated",
     "rank_members",
     # loaded on first use (see _LAZY)
     "certify",
     "certify_unreduced",
     "DegradingCommutativity",
+    "ProgressMeter",
     "RetryPolicy",
     "run_parallel_portfolio",
 ]
@@ -92,6 +89,7 @@ _LAZY = {
     "certify": ".certify",
     "certify_unreduced": ".certify",
     "DegradingCommutativity": ".pool",
+    "ProgressMeter": ".pool",
     "RetryPolicy": ".runtime",
     "run_parallel_portfolio": ".runtime",
 }

@@ -53,7 +53,7 @@ from ..core.commutativity import (
     CommutativityRelation,
     ConditionalCommutativity,
 )
-from ..core.layers import build_reduction_layers
+from ..core.layers import MODES, build_reduction_layers
 from ..core.persistent import PersistentSetProvider
 from ..core.preference import Context, PreferenceOrder
 from ..lang.program import ConcurrentProgram, ProductState
@@ -234,6 +234,8 @@ class ProofChecker:
         memoize_commutativity: bool = True,
         engine: str = "pure",
     ) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
         if search not in ("bfs", "dfs"):
             raise ValueError(f"unknown search strategy {search!r}")
         if engine not in ("pure", "fast"):

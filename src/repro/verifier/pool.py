@@ -7,14 +7,15 @@ service (:mod:`repro.service.server`) both run each attempt of
 caller.  This module is that boundary, defined once: the child entry,
 the heartbeat and poll cadences, the base solver budgets, and the
 parent-side :class:`Worker` handle.  The callers keep their policies
-(ladder, preemption and winner cancellation in the runtime; job specs,
-retries, breaker and stats in the service).
+(winner cancellation in the runtime; job specs, retries, breaker and
+stats in the service, which streams the heartbeats to
+``wait --stream``).
 
 The child talks to the parent over a one-way pipe:
 
 * ``("hb", progress)`` — every :data:`HB_INTERVAL` seconds from a
   daemon thread: elapsed wall clock, solver queries, refinement rounds
-  and states explored (:func:`~repro.verifier.triage.progress_payload`);
+  and states explored (:func:`progress_payload`);
 * ``("result", VerificationResult)`` — the verdict (terms re-intern in
   the parent through ``Term.__reduce__``);
 * ``("crash", reason)`` — any Python-level failure, ``BaseException``
@@ -44,7 +45,6 @@ from ..core.commutativity import (
 from ..logic import Solver
 from .faults import ENV_VAR, FaultInjector, MemberFaultPlan
 from .refinement import VerifierConfig, verify
-from .triage import attach_progress_meter, progress_payload
 
 #: mirrors of Solver.__init__'s defaults — the base the retry policy's
 #: budget escalation multiplies
@@ -124,6 +124,44 @@ class DegradingCommutativity(ConditionalCommutativity):
         result = super().commute_under(phi, a, b)
         self._maybe_degrade()
         return result
+
+
+class ProgressMeter:
+    """Mutable per-run progress counters the CEGAR loop updates.
+
+    Attached to the run's solver (``solver.progress_meter``) so the
+    heartbeat thread in a worker process can stream refinement rounds
+    and states expanded without threading a new argument through
+    ``verify()``.
+    """
+
+    __slots__ = ("rounds", "states")
+
+    def __init__(self) -> None:
+        self.rounds = 0
+        self.states = 0
+
+    def update(self, rounds: int, states: int) -> None:
+        self.rounds = rounds
+        self.states = states
+
+
+def attach_progress_meter(solver) -> ProgressMeter:
+    """Create a :class:`ProgressMeter` and attach it to *solver*."""
+    meter = ProgressMeter()
+    solver.progress_meter = meter
+    return meter
+
+
+def progress_payload(elapsed: float, solver, meter: ProgressMeter) -> dict:
+    """One heartbeat message: elapsed wall clock, solver queries, and
+    the meter's refinement rounds and states."""
+    return {
+        "elapsed": elapsed,
+        "sat_queries": solver.stats.sat_queries,
+        "rounds": meter.rounds,
+        "states": meter.states,
+    }
 
 
 def prebuilt(program, order):

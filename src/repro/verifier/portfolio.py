@@ -10,20 +10,17 @@ terminates.  Two strategies implement this:
   and cheap — the benchmark figures use it so the paper-reproduction
   numbers stay stable.  Member exceptions are contained: a member that
   raises (OOM, recursion blowup, injected crash) is recorded as
-  ``Verdict.ERROR`` instead of killing the run.
-* ``strategy="parallel"``: the real thing — isolated worker processes,
-  hard watchdog deadlines, first-winner cancellation, retries.  See
-  :mod:`repro.verifier.runtime`.
-
-Both strategies are built on :mod:`repro.verifier.triage` (on by
-default, ``VerifierConfig.triage=False`` / ``--no-triage`` restores the
-flat race): the feature ranker picks the start order, the budget ladder
-runs successive-halving slices before the full budget, and the first
-winner short-circuits the rest.  Triage only decides *who runs when and
-on how much budget* — a member that completes runs under exactly the
-untriaged configuration (the ladder's final rung is the full budget),
-so verdicts and completed-member results are bit-identical to
-``triage=False``.
+  ``Verdict.ERROR`` instead of killing the run.  The race is always
+  triaged (:mod:`repro.verifier.triage`): the feature ranker picks the
+  start order, the budget ladder runs a short slice before the full
+  budget, and the first winner short-circuits the rest.  Triage only
+  decides *who runs when and on how much budget* — a member that
+  completes runs under exactly the configuration given (the ladder's
+  final rung is the full budget), so each completed member's result is
+  bit-identical to a direct ``verify()`` of its order.
+* ``strategy="parallel"``: the paper's plain race — all five members in
+  isolated worker processes at once, hard watchdog deadlines,
+  first-winner cancellation, retries.  See :mod:`repro.verifier.runtime`.
 """
 
 from __future__ import annotations
@@ -76,11 +73,11 @@ class PortfolioResult:
     ``strategy`` records how the members were executed; ``wall_seconds``
     is the measured end-to-end wall clock when the parallel runtime ran
     (``None`` under sequential emulation).  ``emulated_wall_seconds`` is
-    the sequential strategy's model of the parallel wall clock — under
-    triage it follows the staged ladder schedule (rungs are barriers,
-    a winner cancels everything at its finish instant) instead of the
-    historical plain min/max over member times.  ``triage`` carries the
-    deterministic plan the run used (None when triage was off).
+    the sequential strategy's model of the parallel wall clock: it
+    follows the staged ladder schedule (rungs are barriers, a winner
+    cancels everything at its finish instant).  ``triage`` carries the
+    deterministic plan the sequential race used (None for the parallel
+    race).
     """
 
     program_name: str
@@ -89,8 +86,9 @@ class PortfolioResult:
     wall_seconds: float | None = None
     emulated_wall_seconds: float | None = None
     triage: TriagePlan | None = None
-    #: triage observability: ranker hits / ladder stages / preemptions /
-    #: budget saved, folded into the aggregate's query_stats
+    #: sequential-race observability: ranker hits / ladder stages /
+    #: cancellations / budget saved, folded into the aggregate's
+    #: query_stats
     triage_counters: dict | None = None
 
     @property
@@ -114,9 +112,9 @@ class PortfolioResult:
         """Total elapsed wall clock attributable to the portfolio.
 
         The measured wall clock when available (parallel runtime), then
-        the staged-schedule emulation (triaged sequential), otherwise
-        the slowest member — under parallel semantics the portfolio
-        gives up only when its last member does.
+        the staged-schedule emulation (sequential race), otherwise the
+        slowest member — under parallel semantics the portfolio gives up
+        only when its last member does.
         """
         if self.wall_seconds is not None:
             return self.wall_seconds
@@ -203,9 +201,9 @@ def verify_portfolio(
     ``strategy="parallel"`` delegates to
     :func:`repro.verifier.runtime.run_parallel_portfolio` (isolated
     workers, watchdog ``member_timeout``, ``retry`` policy, optional
-    ``fault_plan``); the default sequential emulation runs members
-    in-process with per-member crash containment.  Both strategies
-    triage by default (``config.triage``) — see the module docstring.
+    ``fault_plan``); the default sequential emulation runs the triaged
+    race in-process with per-member crash containment — see the module
+    docstring.
     """
     if strategy == "parallel":
         from .runtime import run_parallel_portfolio
@@ -223,24 +221,13 @@ def verify_portfolio(
             f"unknown portfolio strategy {strategy!r} "
             "(use 'sequential' or 'parallel')"
         )
-    config = config or VerifierConfig()
-    orders = standard_orders(program, seeds)
-    if config.triage:
-        return _sequential_triaged(
-            program, orders, config,
-            commutativity_factory=commutativity_factory,
-            fault_plan=fault_plan,
-        )
-    result = PortfolioResult(program_name=program.name)
-    for order in orders:
-        result.members.append(
-            _run_member(
-                program, order, config,
-                commutativity_factory=commutativity_factory,
-                fault_plan=fault_plan,
-            )
-        )
-    return result
+    return _sequential_triaged(
+        program,
+        standard_orders(program, seeds),
+        config or VerifierConfig(),
+        commutativity_factory=commutativity_factory,
+        fault_plan=fault_plan,
+    )
 
 
 def _run_member(
@@ -253,9 +240,9 @@ def _run_member(
 ) -> VerificationResult:
     """One sequential member: fresh solver, faults, crash containment.
 
-    The one place a sequential member runs — the triaged and flat paths
-    share it, which is what makes "a completed member is bit-identical
-    either way" true by construction.
+    Without faults or a commutativity factory this is exactly a direct
+    ``verify()`` of *order* under *config* — the reference a completed
+    member is bit-identical to.
     """
     solver = Solver()
     if fault_plan is not None:
@@ -297,9 +284,9 @@ def _sequential_triaged(
     the first solved member cancels everything still pending (mirroring
     the parallel runtime's winner cancellation), and members that
     survive every slice re-run at the *full* budget on the final rung
-    with a fresh solver — so each member's final result is exactly what
-    the flat race would have produced for it.  Slice attempts that time
-    out are discarded, never reported.
+    with a fresh solver — so each member's final result is exactly a
+    direct ``verify()`` of its order.  Slice attempts that time out are
+    discarded, never reported.
     """
     plan = plan_portfolio(program, orders, time_budget=config.time_budget)
     order_by_name = {order.name: order for order in orders}

@@ -81,13 +81,6 @@ class VerifierConfig:
     #: degrades to a plain run.  Verdicts are never affected: every
     #: reused fact is definite (see :mod:`repro.delta`).
     baseline_digest: str | None = None
-    #: portfolio triage (:mod:`repro.verifier.triage`): feature-ranked
-    #: member order, staged budget ladders, and progress-based loser
-    #: preemption.  Only read by the portfolio strategies — a single
-    #: ``verify()`` call ignores it.  Triage chooses *who runs first
-    #: and on how much budget*, never what a member computes, so
-    #: verdicts stay bit-identical to ``--no-triage``.
-    triage: bool = True
 
 
 @dataclass
@@ -334,8 +327,8 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
         check_done = time.perf_counter()
         result.rounds += 1
         result.states_explored += outcome.states_explored
-        # triage progress metering: a worker's heartbeat thread reads the
-        # meter attached to this run's solver (repro.verifier.triage)
+        # progress metering: a worker's heartbeat thread reads the meter
+        # attached to this run's solver (repro.verifier.pool)
         meter = getattr(solver, "progress_meter", None)
         if meter is not None:
             meter.update(result.rounds, result.states_explored)

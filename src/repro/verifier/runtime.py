@@ -11,6 +11,12 @@ hard ``os._exit``, killed by the watchdog — becomes a
 ``Verdict.ERROR``/``TIMEOUT`` :class:`VerificationResult` carrying its
 failure reason; it can never take the harness down with it.
 
+It is the paper's plain race: all five members spawn at once, in
+:func:`~repro.verifier.portfolio.standard_orders` order, and each runs
+once at its full budget.  Triage (ranking, budget slices) belongs to the
+sequential race only — with every member already running, a budget
+slice could only kill a member and start it again cold.
+
 Robustness policies on top of isolation:
 
 * **Escalating-budget retries** (:class:`RetryPolicy`): members ending in
@@ -54,11 +60,6 @@ from . import pool
 from .faults import FaultPlan
 from .refinement import VerifierConfig
 from .stats import Verdict, VerificationResult
-from .triage import (
-    ladder_stages,
-    plan_portfolio,
-    progress_dominated,
-)
 
 
 @dataclass
@@ -73,17 +74,6 @@ class _Member:
     next_spawn: float = 0.0
     history: list = field(default_factory=list)
     final: VerificationResult | None = None
-    # -- triage state --------------------------------------------------
-    #: current budget-ladder rung (0 = first slice); a slice-deadline
-    #: kill escalates the rung instead of recording a TIMEOUT
-    rung: int = 0
-    #: latest heartbeat payload from the running worker
-    progress: dict | None = None
-    #: preempted as progress-dominated: parked, not finished — re-runs
-    #: at full budget if the race ends winnerless (defer, never drop)
-    deferred: bool = False
-    #: watchdog seconds still unburned when the member was deferred
-    saved_remaining: float = 0.0
 
     @property
     def name(self) -> str:
@@ -125,24 +115,11 @@ def run_parallel_portfolio(
     # query_stats can report the parent-side share (the worker-side delta
     # it carries reflects the *worker* process, which saw none)
     reintern_baseline = kernel_counters()["reintern_count"]
-    orders = standard_orders(program, seeds)
-    triage_on = config.triage
-    plan = None
-    if triage_on:
-        plan = plan_portfolio(program, orders, time_budget=member_timeout)
-        by_name = {order.name: order for order in orders}
-        orders = [by_name[m.order_name] for m in plan.ranked]
-    # the budget ladder needs a watchdog to slice; without one the race
-    # runs as a single unbounded rung
-    ladder_active = triage_on and member_timeout is not None
-    preempt_count = 0
-    budget_saved = 0.0
-    members = [_Member(order=o) for o in orders]
+    members = [_Member(order=o) for o in standard_orders(program, seeds)]
     outcome = PortfolioResult(program_name=program.name, strategy="parallel")
 
     def spawn(member: _Member) -> None:
         member.attempt += 1
-        member.progress = None
         scale = retry.scale(member.attempt)
         worker_config = replace(
             config,
@@ -166,20 +143,11 @@ def run_parallel_portfolio(
             degrade_after=degrade_after,
         )
         member.spawned_at = member.worker.started
-        if member_timeout is None:
-            member.deadline = None
-            return
-        full_budget = member_timeout * scale
-        if ladder_active:
-            # the worker's own config is untouched — the slice is purely
-            # a parent-side watchdog, so a run that *finishes* inside its
-            # slice is bit-identical to the untriaged full-budget run,
-            # and a sliced-off run is discarded, never reported
-            rungs = ladder_stages(full_budget)
-            budget = rungs[min(member.rung, len(rungs) - 1)]
-        else:
-            budget = full_budget
-        member.deadline = member.spawned_at + budget
+        member.deadline = (
+            member.spawned_at + member_timeout * scale
+            if member_timeout is not None
+            else None
+        )
 
     def reap(member: _Member) -> None:
         """Tear down the current worker (if any) without recording."""
@@ -210,12 +178,12 @@ def run_parallel_portfolio(
             member.final = result
 
     def drain(member: _Member) -> None:
-        """Act on what the member's worker has said: record progress,
-        and end the attempt on a result, a crash or a death."""
+        """End the attempt on a result, a crash or a death; heartbeats
+        carry nothing the race acts on."""
         for kind, payload in member.worker.events():
             if kind == "hb":
-                member.progress = payload
-            elif kind == "result":
+                continue
+            if kind == "result":
                 finish_attempt(member, payload)
             else:  # "crash" | "died"
                 finish_attempt(
@@ -223,26 +191,15 @@ def run_parallel_portfolio(
                 )
 
     def cancel(member: _Member, winner_name: str) -> None:
-        nonlocal preempt_count, budget_saved
         if member.running and not member.worker.alive:
             # the worker exited on its own before the win was seen: that
             # is its outcome (a crash, or a message still queued), not a
-            # preemption
+            # cancellation
             drain(member)
             if member.final is not None:
                 return
         now = time.perf_counter()
         was_running = member.running
-        # triage observability: cancelling a live (or parked) member
-        # saves the watchdog budget it would have burned to its deadline
-        if was_running:
-            preempt_count += 1
-            if member.deadline is not None:
-                budget_saved += max(0.0, member.deadline - now)
-        elif member.deferred:
-            # already counted as a preemption when it was parked; the
-            # win just makes its saved budget definitive
-            budget_saved += member.saved_remaining
         reap(member)
         if member.history:
             # a cancelled retry keeps its last observed failure — that
@@ -307,19 +264,10 @@ def run_parallel_portfolio(
                 terminate(received_signals[0])
                 break
             now = time.perf_counter()
-            # deferral is never a drop: once every unfinished member is
-            # parked (preempted) and no winner emerged, revive them all
-            # for a full-budget run — no verdict is lost to preemption
-            unfinished = [m for m in members if m.final is None]
-            if unfinished and all(m.deferred for m in unfinished):
-                for member in unfinished:
-                    member.deferred = False
-                    member.next_spawn = now
             for member in members:
                 if (
                     member.final is None
                     and not member.running
-                    and not member.deferred
                     and now >= member.next_spawn
                 ):
                     spawn(member)
@@ -341,22 +289,6 @@ def run_parallel_portfolio(
                 if not member.running:
                     continue
                 if member.deadline is not None and now > member.deadline:
-                    max_rung = (
-                        len(ladder_stages(member_timeout)) - 1
-                        if ladder_active
-                        else 0
-                    )
-                    if ladder_active and member.rung < max_rung:
-                        # ladder slice exhausted: escalate to the next
-                        # rung instead of recording a TIMEOUT.  The
-                        # attempt counter rolls back so the re-spawn
-                        # runs with the same retry scale the untriaged
-                        # attempt would have had.
-                        reap(member)
-                        member.attempt -= 1
-                        member.rung += 1
-                        member.next_spawn = now
-                        continue
                     budget = member.deadline - member.spawned_at
                     finish_attempt(
                         member,
@@ -368,27 +300,6 @@ def run_parallel_portfolio(
                         ),
                     )
 
-            # progress-based preemption: a running member far behind the
-            # round leader is parked (deferred) before its watchdog
-            # fires — its budget is only spent if the race ends
-            # winnerless and it revives
-            if triage_on:
-                running = [m for m in members if m.running]
-                if len(running) > 1:
-                    leader_rounds = max(
-                        (m.progress or {}).get("rounds", 0) for m in running
-                    )
-                    for member in running:
-                        if progress_dominated(member.progress, leader_rounds):
-                            reap(member)
-                            member.attempt -= 1
-                            member.deferred = True
-                            member.saved_remaining = (
-                                max(0.0, member.deadline - now)
-                                if member.deadline is not None
-                                else 0.0
-                            )
-                            preempt_count += 1
 
             for member in members:
                 if member.final is not None and member.final.verdict.solved:
@@ -409,21 +320,6 @@ def run_parallel_portfolio(
 
     outcome.members = [m.final for m in members]
     outcome.wall_seconds = time.perf_counter() - started
-    if triage_on and plan is not None:
-        outcome.triage = plan
-        ranked_first = plan.ranked[0].order_name if plan.ranked else None
-        outcome.triage_counters = {
-            "ranker_hits": int(
-                winner is not None and winner.order_name == ranked_first
-            ),
-            "ladder_stages": (
-                1 + max((m.rung for m in members), default=0)
-                if ladder_active
-                else 1
-            ),
-            "preemptions": preempt_count,
-            "budget_saved_seconds": round(budget_saved, 4),
-        }
     # attribute parent-side re-interning (deserialized predicates,
     # counterexample guards, ...) to the reported stats: prefer the
     # winner the aggregate reports (the fastest solver, not always the

@@ -158,14 +158,14 @@ class QueryStats:
     delta_comm_reused: int = 0
     delta_comm_missed: int = 0
     digest_memo_evictions: int = 0
-    # portfolio triage (repro.verifier.triage); folded into the portfolio
-    # aggregate's stats (a copy of the winner's), zero elsewhere.
-    # ``triage_ranker_hits`` is 1 when the feature ranker's top pick won
-    # the race; ``triage_ladder_stages`` counts budget-ladder rungs run;
-    # ``triage_preemptions`` counts members cancelled/deferred before
-    # their deadline (short-circuit + progress domination);
-    # ``triage_budget_saved_seconds`` estimates the member-budget
-    # seconds those cancellations avoided burning.
+    # sequential portfolio triage (repro.verifier.triage); folded into
+    # the portfolio aggregate's stats (a copy of the winner's), zero
+    # elsewhere, the parallel race included.  ``triage_ranker_hits`` is
+    # 1 when the feature ranker's top pick won the race;
+    # ``triage_ladder_stages`` counts budget-ladder rungs run;
+    # ``triage_preemptions`` counts members a winner cancelled before
+    # they completed; ``triage_budget_saved_seconds`` estimates the
+    # member-budget seconds those cancellations avoided burning.
     triage_ranker_hits: int = 0
     triage_ladder_stages: int = 0
     triage_preemptions: int = 0

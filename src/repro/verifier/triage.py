@@ -1,9 +1,11 @@
-"""Portfolio triage: who runs first, on how much budget, and for how long.
+"""Portfolio triage: who runs first, and on how much budget.
 
-After the integer fast path (PR 8) the portfolio's wall clock is
+After the integer fast path the portfolio's wall clock is
 dominated by *losers*: members that burn their whole budget by design
 while some other member already holds the verdict.  This module is the
-triage layer both portfolio strategies are built on:
+triage layer the sequential race
+(:func:`~repro.verifier.portfolio.verify_portfolio`) is built on; the
+parallel race runs every member at once and needs none of it:
 
 * **Feature ranker** — cheap structural features of the program
   (:class:`ProgramFeatures`) scored by a fixed, hand-tuned linear model
@@ -15,15 +17,11 @@ triage layer both portfolio strategies are built on:
 * **Staged budget ladder** (:func:`ladder_stages`) — successive-halving
   budget slices (:data:`LADDER_FRACTIONS` of the full budget): every
   member gets a small slice first, survivors escalate, and the final
-  rung always runs at the *full* budget so an unsolved member's final
-  result is bit-identical to the untriaged run.
-* **Progress metering** (:class:`ProgressMeter`,
-  :func:`progress_payload`, :func:`progress_dominated`) — the service's
-  heartbeat plumbing generalized: workers stream refinement rounds,
-  states expanded, and solver calls, so a parent can preempt members
-  that are progress-dominated before their watchdog deadline.
-  Preemption is *deferral*: a preempted member re-runs at full budget
-  if the race ends winnerless, so no verdict is ever lost.
+  rung always runs at the *full* budget, so an unsolved member's final
+  result is bit-identical to a direct ``verify()`` of its order.
+  :func:`emulate_staged_wall` models the ladder's parallel wall clock.
+* **The plan** (:func:`plan_portfolio`, :class:`TriagePlan`) — the
+  deterministic ranking and ladder one race uses (``repro orders``).
 
 The soundness argument for bit-identity is in one line: a deterministic
 ``verify()`` run that finishes without its deadline firing behaves
@@ -45,11 +43,6 @@ from ..logic import TRUE
 #: the ladder's rung budgets as fractions of the full budget; the last
 #: is always 1.0, so an unsolved member's final rung is the full run
 LADDER_FRACTIONS = (0.25, 1.0)
-
-#: progress-preemption rule: a member this many refinement rounds behind
-#: the leader, after this much wall clock, is deferred
-PREEMPT_ROUND_GAP = 3
-PREEMPT_MIN_ELAPSED = 0.75
 
 #: cap on the O(n^2) conflict-density scan; larger alphabets are
 #: sampled with a deterministic stride
@@ -192,9 +185,9 @@ def ladder_stages(full_budget: float | None) -> list[float | None]:
 
     Rung *i* gets ``full * LADDER_FRACTIONS[i]``; the final fraction is
     1.0, so the final rung is always exactly the full budget — the
-    invariant that keeps unsolved members bit-identical to the
-    untriaged run.  Without a full budget there is nothing to slice:
-    one unbounded rung.
+    invariant that keeps unsolved members bit-identical to a direct
+    ``verify()`` of their order.  Without a full budget there is
+    nothing to slice: one unbounded rung.
     """
     if full_budget is None:
         return [None]
@@ -220,73 +213,6 @@ def emulate_staged_wall(
             return start + winner[1]
         start += max(runs, default=0.0)
     return start
-
-
-# ---------------------------------------------------------------------------
-# Progress metering / preemption
-# ---------------------------------------------------------------------------
-
-class ProgressMeter:
-    """Mutable per-run progress counters the CEGAR loop updates.
-
-    Attached to the run's solver (``solver.progress_meter``) so the
-    heartbeat thread in a worker process can stream refinement rounds
-    and states expanded without threading a new argument through
-    ``verify()``.
-    """
-
-    __slots__ = ("rounds", "states")
-
-    def __init__(self) -> None:
-        self.rounds = 0
-        self.states = 0
-
-    def update(self, rounds: int, states: int) -> None:
-        self.rounds = rounds
-        self.states = states
-
-
-def attach_progress_meter(solver) -> ProgressMeter:
-    """Create a :class:`ProgressMeter` and attach it to *solver*."""
-    meter = ProgressMeter()
-    solver.progress_meter = meter
-    return meter
-
-
-def progress_payload(elapsed: float, solver, meter=None) -> dict:
-    """One heartbeat message: the service's ``elapsed``/``sat_queries``
-    payload generalized with the triage progress counters."""
-    meter = meter if meter is not None else getattr(
-        solver, "progress_meter", None
-    )
-    return {
-        "elapsed": elapsed,
-        "sat_queries": solver.stats.sat_queries,
-        "rounds": meter.rounds if meter is not None else 0,
-        "states": meter.states if meter is not None else 0,
-    }
-
-
-def progress_dominated(
-    progress: dict | None,
-    leader_rounds: int,
-    *,
-    gap: int = PREEMPT_ROUND_GAP,
-    min_elapsed: float = PREEMPT_MIN_ELAPSED,
-) -> bool:
-    """Should a member with *progress* be preempted under *leader_rounds*?
-
-    Pure decision function (the determinism tests pin it): a member is
-    dominated once it trails the round leader by at least *gap*
-    refinement rounds after *min_elapsed* seconds of wall clock.
-    Deferral only — callers must re-run dominated members at full
-    budget if the race ends winnerless.
-    """
-    if not progress:
-        return False
-    if progress.get("elapsed", 0.0) < min_elapsed:
-        return False
-    return leader_rounds - progress.get("rounds", 0) >= gap
 
 
 # ---------------------------------------------------------------------------

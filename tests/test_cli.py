@@ -294,10 +294,6 @@ class TestTriageCommands:
         assert main(["orders", program_file]) == 0
         assert "budget ladder: [full]" in capsys.readouterr().out
 
-    def test_portfolio_no_triage(self, program_file, capsys):
-        assert main(["portfolio", program_file, "--no-triage"]) == 0
-        assert "portfolio[" in capsys.readouterr().out
-
     def test_portfolio_triage_counters_in_cache_stats(
         self, program_file, capsys
     ):

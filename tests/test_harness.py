@@ -58,22 +58,9 @@ class TestCaching:
         r2 = run_cached(bench, "baseline")
         assert r1 is r2
 
-    def test_portfolio_populates_members(self, monkeypatch):
+    def test_triaged_portfolio_caches_winner_only(self):
         from repro import harness
 
-        # untriaged portfolio: every member runs to completion, so all
-        # solved members are reusable by the order-comparison experiments
-        monkeypatch.setenv("REPRO_TRIAGE", "0")
-        harness._cache.pop((by_name(FAST_BENCH).name, "portfolio"), None)
-        bench = by_name(FAST_BENCH)
-        run_cached(bench, "portfolio")
-        assert (bench.name, "seq") in harness._cache
-        assert (bench.name, "lockstep") in harness._cache
-
-    def test_triaged_portfolio_caches_winner_only(self, monkeypatch):
-        from repro import harness
-
-        monkeypatch.setenv("REPRO_TRIAGE", "1")
         bench = by_name(FAST_BENCH)
         for order in ("seq", "lockstep", "portfolio"):
             harness._cache.pop((bench.name, order), None)

@@ -572,6 +572,28 @@ def test_normalize_job_spec_defaults_and_family():
     # unlisted fields never reach the journal
     spec = protocol.normalize_job_spec({"bench": "x", "evil": "payload"})
     assert "evil" not in spec
+    # a malformed spec never yields a verdict: every field a worker
+    # would run on is checked at admission
+    for bad in (
+        {"mode": "bogus"},
+        {"mode": 3},
+        {"search": "zigzag"},
+        {"timeout": "nan"},
+        {"timeout": float("inf")},
+        {"timeout": 0},
+        {"timeout": True},
+        {"cost": True},
+        {"max_rounds": True},
+        {"max_attempts": False},
+    ):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.normalize_job_spec({"bench": "x", **bad})
+    spec = protocol.normalize_job_spec(
+        {"bench": "x", "mode": "sleep", "search": "dfs", "timeout": "2.5"}
+    )
+    assert (spec["mode"], spec["search"], spec["timeout"]) == (
+        "sleep", "dfs", 2.5
+    )
 
 
 def test_normalize_job_spec_baseline_digest():

@@ -1,8 +1,7 @@
 """Portfolio triage tests: feature extraction, ranking determinism,
 the staged budget ladder, the emulated staged wall clock (regression
-for the pre-triage max-over-members bug), the preemption decision
-function, and triage-on/off verdict differentials for both portfolio
-strategies."""
+for the pre-triage max-over-members bug), and the sequential race's
+completed members against direct ``verify()`` runs of their orders."""
 
 from __future__ import annotations
 
@@ -11,16 +10,17 @@ import pytest
 from repro import VerifierConfig
 from repro.benchmarks.bluetooth import bluetooth
 from repro.benchmarks.mutex import dekker
+from repro.core import ConditionalCommutativity
+from repro.logic import Solver
 from repro.verifier import (
     ProgramFeatures,
-    Verdict,
     emulate_staged_wall,
     extract_features,
     ladder_stages,
     plan_portfolio,
-    progress_dominated,
     rank_members,
     standard_orders,
+    verify,
     verify_portfolio,
 )
 from repro.verifier.triage import order_kind
@@ -134,40 +134,25 @@ class TestStagedWall:
         assert emulate_staged_wall([[]]) == 0.0
 
 
-class TestPreemptionDecision:
-    def test_no_progress_never_preempts(self):
-        assert not progress_dominated(None, leader_rounds=10)
-        assert not progress_dominated({}, leader_rounds=10)
-
-    def test_grace_period(self):
-        trailing = {"elapsed": 0.1, "rounds": 0}
-        assert not progress_dominated(trailing, leader_rounds=10)
-
-    def test_round_gap(self):
-        assert progress_dominated(
-            {"elapsed": 5.0, "rounds": 2}, leader_rounds=5
-        )
-        assert not progress_dominated(
-            {"elapsed": 5.0, "rounds": 3}, leader_rounds=5
-        )
-
-
 class TestDifferential:
     """Triage must never change a verdict — only who runs when."""
 
     @pytest.mark.parametrize("builder", [dekker, lambda: bluetooth(2)])
     def test_sequential_verdicts_identical(self, builder):
+        # the reference is a direct verify() of each order under the
+        # full config: a fresh solver and conditional commutativity
         program = builder()
-        triaged = verify_portfolio(program, config(time_budget=30.0))
-        flat = verify_portfolio(
-            program, config(time_budget=30.0, triage=False)
-        )
-        assert triaged.verdict == flat.verdict
-        flat_members = {m.order_name: m for m in flat.members}
-        for member in triaged.members:
-            if cancelled(member):
-                continue  # never ran to completion; nothing to compare
-            other = flat_members[member.order_name]
+        full = config(time_budget=30.0)
+        triaged = verify_portfolio(program, full)
+        orders = {order.name: order for order in standard_orders(program)}
+        completed = [m for m in triaged.members if not cancelled(m)]
+        assert triaged.winner in completed
+        for member in completed:
+            solver = Solver()
+            other = verify(
+                program, orders[member.order_name],
+                ConditionalCommutativity(solver), config=full, solver=solver,
+            )
             assert member.verdict == other.verdict
             assert member.rounds == other.rounds
             assert member.proof_size == other.proof_size
@@ -188,14 +173,3 @@ class TestDifferential:
         assert qs.triage_ladder_stages >= 1
         assert qs.triage_budget_saved_seconds >= 0.0
         assert "triage:" in qs.summary()
-
-    def test_parallel_verdicts_identical(self):
-        program = dekker()
-        triaged = verify_portfolio(
-            program, config(), strategy="parallel", member_timeout=60.0
-        )
-        flat = verify_portfolio(
-            program, config(triage=False), strategy="parallel",
-            member_timeout=60.0,
-        )
-        assert triaged.verdict == flat.verdict == Verdict.CORRECT

@@ -9,6 +9,8 @@ from repro.verifier import (
     FloydHoareAutomaton,
     ProofChecker,
     UselessStateCache,
+    VerifierConfig,
+    verify,
 )
 
 
@@ -105,6 +107,19 @@ class TestBudgets:
                 SyntacticCommutativity(),
                 search="zigzag",
             )
+
+    def test_invalid_mode_rejected(self):
+        # an unknown mode must not run as the unreduced product
+        program = racy_program()
+        with pytest.raises(ValueError, match="unknown mode"):
+            ProofChecker(
+                program,
+                ThreadUniformOrder(),
+                SyntacticCommutativity(),
+                mode="bogus",
+            )
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify(program, config=VerifierConfig(mode="bogus"))
 
 
 class TestUselessCache:

@@ -131,7 +131,7 @@ def _watchdog(faults: str) -> float | None:
 def _portfolio_reasons(faults: str) -> list[tuple[Verdict, str]]:
     outcome = run_parallel_portfolio(
         parse(CORRECT_SRC, name="incr2"),
-        VerifierConfig(max_rounds=20, triage=False),
+        VerifierConfig(max_rounds=20),
         seeds=(1,),
         member_timeout=_watchdog(faults),
         retry=RetryPolicy(max_attempts=1),

@@ -15,7 +15,9 @@ from repro.verifier import (
     FaultPlan,
     RetryPolicy,
     Verdict,
+    plan_portfolio,
     run_parallel_portfolio,
+    standard_orders,
     verify_portfolio,
 )
 from repro.verifier.faults import FaultInjector, MemberFaultPlan
@@ -129,16 +131,15 @@ class TestParallelRuntime:
         assert outcome.winner.counterexample is not None
 
     def test_crash_contained(self):
-        # triage off: winner cancellation must not race the crash we
-        # are asserting on; the others sleep a second at their first
-        # query, so seq reaches its crash before any winner exists
+        # the others sleep a second at their first query, so seq
+        # reaches its crash before any winner exists
         plan = FaultPlan.parse(
             "seed=3;seq:crash_at=0;"
             "lockstep:hang_at=0;lockstep:hang_s=1;"
             "rand(1):hang_at=0;rand(1):hang_s=1"
         )
         outcome = run_parallel_portfolio(
-            simple(), config(triage=False), seeds=(1,), fault_plan=plan
+            simple(), config(), seeds=(1,), fault_plan=plan
         )
         assert outcome.verdict == Verdict.CORRECT
         seq = by_order(outcome)["seq"]
@@ -169,7 +170,7 @@ class TestParallelRuntime:
         # notice the silent death and synthesize the ERROR itself
         plan = FaultPlan.parse(self.HARD_EXIT)
         outcome = run_parallel_portfolio(
-            simple(), config(triage=False), seeds=(1,), fault_plan=plan
+            simple(), config(), seeds=(1,), fault_plan=plan
         )
         assert outcome.verdict == Verdict.CORRECT
         seq = by_order(outcome)["seq"]
@@ -195,7 +196,7 @@ class TestParallelRuntime:
         monkeypatch.setattr(pool, "wait", wait)
         plan = FaultPlan.parse(self.HARD_EXIT)
         outcome = run_parallel_portfolio(
-            simple(), config(triage=False), seeds=(1,), fault_plan=plan
+            simple(), config(), seeds=(1,), fault_plan=plan
         )
         assert outcome.verdict == Verdict.CORRECT
         seq = by_order(outcome)["seq"]
@@ -235,6 +236,35 @@ class TestParallelRuntime:
         assert members["lockstep"].verdict == Verdict.TIMEOUT
         assert "watchdog" in members["lockstep"].failure_reason
 
+    def test_each_member_spawns_once(self, monkeypatch):
+        # the plain race: every member runs once at its full budget.  A
+        # winner that sleeps a second at its first query is never cut
+        # off early by a budget slice and started again cold.
+        from repro.verifier import pool
+
+        spawned = []
+        real_worker = pool.Worker
+
+        def counting_worker(*args, **kwargs):
+            spawned.append(kwargs["name"])
+            return real_worker(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "Worker", counting_worker)
+        plan = FaultPlan.parse(
+            "seed=3;seq:hang_at=0;seq:hang_s=1;"
+            "lockstep:crash_at=0;rand(1):crash_at=0"
+        )
+        outcome = run_parallel_portfolio(
+            simple(), config(), seeds=(1,), member_timeout=2.0,
+            fault_plan=plan,
+        )
+        assert outcome.winner.order_name == "seq"
+        assert outcome.winner.attempts == 1
+        assert sorted(spawned) == sorted(
+            f"portfolio-incr2-{name}-a1"
+            for name in ("seq", "lockstep", "rand(1)")
+        )
+
     def test_all_members_fail_aggregates_honestly(self):
         plan = FaultPlan.parse("seed=5;crash_at=0")
         outcome = run_parallel_portfolio(
@@ -247,9 +277,7 @@ class TestParallelRuntime:
         assert "no member solved (3 members" in agg.failure_reason
 
     def test_deterministic_fault_outcomes_across_runs(self):
-        # triage off: winner-side cancellation races the injected
-        # faults, so the losers' verdicts would not be repeatable; the
-        # winner sleeps a second at its first query, so both faults
+        # the winner sleeps a second at its first query, so both faults
         # have fired before it can win
         plan = FaultPlan.parse(
             "seed=3;seq:crash_at=0;lockstep:oom_at=0;"
@@ -258,7 +286,7 @@ class TestParallelRuntime:
         verdicts = []
         for _ in range(2):
             outcome = run_parallel_portfolio(
-                simple(), config(triage=False), seeds=(1,), fault_plan=plan
+                simple(), config(), seeds=(1,), fault_plan=plan
             )
             verdicts.append(
                 tuple(sorted((m.order_name, m.verdict.value)
@@ -270,16 +298,20 @@ class TestParallelRuntime:
 
 class TestSequentialContainment:
     def test_sequential_member_crash_contained(self):
-        # triage off: every member must actually run for the crash to
-        # be observed (a triaged run cancels losers after the winner)
-        plan = FaultPlan.parse("seed=3;seq:crash_at=0")
+        # the crash goes into the ranker's first pick, which runs
+        # before any winner can cancel it
+        program = simple()
+        first = plan_portfolio(
+            program, standard_orders(program, (1,))
+        ).ranked[0].order_name
+        plan = FaultPlan.parse(f"seed=3;{first}:crash_at=0")
         outcome = verify_portfolio(
-            simple(), config(triage=False), seeds=(1,), fault_plan=plan
+            program, config(), seeds=(1,), fault_plan=plan
         )
         assert outcome.strategy == "sequential"
         members = by_order(outcome)
-        assert members["seq"].verdict == Verdict.ERROR
-        assert "InjectedCrash" in members["seq"].failure_reason
+        assert members[first].verdict == Verdict.ERROR
+        assert "InjectedCrash" in members[first].failure_reason
         assert outcome.verdict == Verdict.CORRECT  # the rest survived
 
     def test_unknown_strategy_rejected(self):
