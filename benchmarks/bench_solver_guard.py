@@ -12,6 +12,15 @@ variables cancel (trivially true or false constraints).  One slice runs
 under a small ``node_budget`` and one under a small ``branch_budget``,
 so the exact node where a query turns UNKNOWN is pinned too.
 
+The last slice, ``shared``, sends a seeded sequence of ``is_sat``,
+``implies`` and ``model`` calls through one ``Solver``, drawn from a
+small pool of formulas, with a ``compact_kernel()`` call halfway.  Later
+calls meet the constraints, literals and cache entries earlier ones
+left behind, so state shared across queries (the verdict and model
+caches, and the process-wide memos a compaction clears) is pinned too.
+Its records name the ``call``; ``nodes_searched`` is that call's own
+count and ``max_query_nodes`` the solver's running maximum.
+
 Any drift means the decision procedure explores a different tree or
 returns a different model: a change to the DPLL search, the theory
 memos or Fourier–Motzkin elimination that was meant to be invisible
@@ -37,6 +46,7 @@ from repro.logic import (
     SolverUnknown,
     add,
     and_,
+    compact_kernel,
     eq,
     intc,
     ite,
@@ -58,6 +68,10 @@ SLICES = (
     ("node-budget", 40, {"node_budget": 6}),
     ("branch-budget", 20, {"branch_budget": 2}),
 )
+#: the shared slice: how many calls go through its one solver, and how
+#: many queries and clauses they are drawn from
+SHARED_CALLS = 160
+SHARED_POOL = 24
 #: variable names are prefixed ``sg_`` so the terms are fresh whatever
 #: ran earlier in the process
 VARIABLES = tuple(var(f"sg_x{i}") for i in range(4))
@@ -116,18 +130,40 @@ def _corpus() -> list[tuple[str, object, dict]]:
     ]
 
 
+def _shared_calls() -> list[tuple[str, tuple]]:
+    """The shared slice's calls: ``(method name, arguments)``."""
+    rng = random.Random(SEED + 1)
+    queries = [_query(rng) for _ in range(SHARED_POOL)]
+    clauses = [_formula(rng, 2) for _ in range(SHARED_POOL)]
+    calls = []
+    for _ in range(SHARED_CALLS):
+        kind = rng.choice(("is_sat", "implies", "model"))
+        if kind == "implies":
+            calls.append((kind, (rng.choice(queries), rng.choice(clauses))))
+        else:
+            calls.append((kind, (rng.choice(queries + clauses),)))
+    return calls
+
+
+def _answer(call):
+    """``(verdict, model pairs)`` of one solver call."""
+    try:
+        answer = call()
+    except SolverUnknown:
+        return "UNKNOWN", None
+    if answer is None or answer is False:
+        return "UNSAT", None
+    if answer is True:
+        return "SAT", None
+    return "SAT", [list(p) for p in sorted(answer.items())]
+
+
 def _run() -> tuple[list[dict], float]:
     records = []
     started = time.perf_counter()
     for index, (name, formula, kwargs) in enumerate(_corpus()):
         solver = Solver(**kwargs)
-        try:
-            model = solver.model(formula)
-        except SolverUnknown:
-            verdict, pairs = "UNKNOWN", None
-        else:
-            verdict = "UNSAT" if model is None else "SAT"
-            pairs = None if model is None else [list(p) for p in sorted(model.items())]
+        verdict, pairs = _answer(lambda: solver.model(formula))
         records.append(
             {
                 "index": index,
@@ -135,6 +171,27 @@ def _run() -> tuple[list[dict], float]:
                 "verdict": verdict,
                 "model": pairs,
                 "nodes_searched": solver.stats.nodes_searched,
+                "max_query_nodes": solver.stats.max_query_nodes,
+            }
+        )
+    solver = Solver(branch_budget=40)
+    calls = _shared_calls()
+    for step, (kind, args) in enumerate(calls):
+        if step == len(calls) // 2:
+            compact_kernel()
+        before = solver.stats.nodes_searched
+        verdict, pairs = _answer(lambda: getattr(solver, kind)(*args))
+        if kind == "implies" and verdict != "UNKNOWN":
+            # implies answers validity: SAT here means the entailment holds
+            verdict = "VALID" if verdict == "SAT" else "INVALID"
+        records.append(
+            {
+                "index": len(records),
+                "slice": "shared",
+                "call": kind,
+                "verdict": verdict,
+                "model": pairs,
+                "nodes_searched": solver.stats.nodes_searched - before,
                 "max_query_nodes": solver.stats.max_query_nodes,
             }
         )
@@ -151,25 +208,19 @@ def test_solver_matches_baseline(benchmark):
     if os.environ.get("REPRO_REGEN_BASELINE"):
         atomic_write_text(BASELINE_PATH, _render(records))
     baseline = json.loads(BASELINE_PATH.read_text())
-    verdicts = {
-        (name, verdict): sum(
-            1 for r in records if r["slice"] == name and r["verdict"] == verdict
-        )
-        for name, _, _ in SLICES
-        for verdict in ("SAT", "UNSAT", "UNKNOWN")
-    }
-    lines = [f"{len(records)} formulas"]
-    for name, _, _ in SLICES:
+    lines = [f"{len(records)} queries"]
+    for name in [name for name, _, _ in SLICES] + ["shared"]:
+        verdicts = [r["verdict"] for r in records if r["slice"] == name]
         counts = ", ".join(
-            f"{verdict} {verdicts[name, verdict]}"
-            for verdict in ("SAT", "UNSAT", "UNKNOWN")
+            f"{verdict} {verdicts.count(verdict)}"
+            for verdict in sorted(set(verdicts))
         )
         lines.append(f"{name:14s} {counts}")
     lines.append(
         f"nodes_searched total {sum(r['nodes_searched'] for r in records)}"
     )
     emit("bench_solver_guard", lines)
-    emit_timings("bench_solver_guard", [f"{len(records)} formulas in {seconds:.2f}s"])
+    emit_timings("bench_solver_guard", [f"{len(records)} queries in {seconds:.2f}s"])
     drift = [
         (observed, pinned)
         for observed, pinned in zip(records, baseline)
