@@ -443,6 +443,7 @@ class VerificationService:
             scale=scale,
             fault_plan=fault_plan,
             degrade_after=None,
+            heartbeat=True,
         )
         started = worker.started
         deadline = started + timeout * scale if timeout is not None else None

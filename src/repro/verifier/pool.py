@@ -14,8 +14,10 @@ stats in the service, which streams the heartbeats to
 The child talks to the parent over a one-way pipe:
 
 * ``("hb", progress)`` — every :data:`HB_INTERVAL` seconds from a
-  daemon thread: elapsed wall clock, solver queries, refinement rounds
-  and states explored (:func:`progress_payload`);
+  daemon thread, if the caller asked for heartbeats: elapsed wall
+  clock, solver queries, refinement rounds and states explored
+  (:func:`progress_payload`).  The service asks for them; the parallel
+  portfolio, which acts on nothing in them, does not;
 * ``("result", VerificationResult)`` — the verdict (terms re-intern in
   the parent through ``Term.__reduce__``);
 * ``("crash", reason)`` — any Python-level failure, ``BaseException``
@@ -176,12 +178,15 @@ def run_attempt(
     scale: float,
     fault_plan: MemberFaultPlan | None,
     degrade_after: int | None,
+    heartbeat: bool = True,
 ) -> None:
     """Child-process entry point: run one attempt, contained.
 
     ``job()`` builds ``(program, order)`` inside the child, so a bad
     program is a contained crash too.  Everything short of a hard
-    process death ends as exactly one final message on *conn*.
+    process death ends as exactly one final message on *conn*.  With
+    *heartbeat* false no heartbeat thread starts and no ``"hb"`` frame
+    is sent.
     """
     # the parent resolved fault plans already; don't let the env var
     # re-attach a second injector inside verify()
@@ -200,23 +205,23 @@ def run_attempt(
         commutativity = DegradingCommutativity(
             solver, degrade_after=degrade_after
         )
-        meter = attach_progress_meter(solver)
+        if heartbeat:
+            meter = attach_progress_meter(solver)
 
-        def heartbeat() -> None:
-            while not stop.wait(HB_INTERVAL):
-                try:
-                    conn.send((
-                        "hb",
-                        progress_payload(
-                            time.perf_counter() - started, solver, meter
-                        ),
-                    ))
-                except Exception:  # pipe gone: parent killed us or moved on
-                    return
+            def beats() -> None:
+                while not stop.wait(HB_INTERVAL):
+                    try:
+                        conn.send((
+                            "hb",
+                            progress_payload(
+                                time.perf_counter() - started, solver, meter
+                            ),
+                        ))
+                    except Exception:  # pipe gone: parent killed us or moved on
+                        return
 
-        thread = threading.Thread(target=heartbeat, daemon=True)
-        thread.start()
-        beat = thread
+            beat = threading.Thread(target=beats, daemon=True)
+            beat.start()
         final = (
             "result",
             verify(program, order, commutativity, config=config, solver=solver),
@@ -257,12 +262,16 @@ class Worker:
         scale: float,
         fault_plan: MemberFaultPlan | None,
         degrade_after: int | None,
+        heartbeat: bool,
     ) -> None:
         self.attempt = attempt
         self.conn, child_conn = CONTEXT.Pipe(duplex=False)
         self.proc = CONTEXT.Process(
             target=run_attempt,
-            args=(child_conn, job, config, scale, fault_plan, degrade_after),
+            args=(
+                child_conn, job, config, scale, fault_plan, degrade_after,
+                heartbeat,
+            ),
             name=name,
             daemon=True,
         )
@@ -277,7 +286,8 @@ class Worker:
     def events(self):
         """Yield what the child has said, without blocking.
 
-        Any number of ``("hb", progress)`` events, then at most one
+        Any number of ``("hb", progress)`` events (none unless the
+        worker was asked for heartbeats), then at most one
         final event: ``("result", VerificationResult)``, or
         ``("crash", reason)`` / ``("died", reason)`` with the failure
         reason already formatted.  A process that is gone with nothing

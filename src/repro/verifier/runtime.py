@@ -141,6 +141,7 @@ def run_parallel_portfolio(
                 else None
             ),
             degrade_after=degrade_after,
+            heartbeat=False,
         )
         member.spawned_at = member.worker.started
         member.deadline = (
@@ -178,11 +179,9 @@ def run_parallel_portfolio(
             member.final = result
 
     def drain(member: _Member) -> None:
-        """End the attempt on a result, a crash or a death; heartbeats
-        carry nothing the race acts on."""
+        """End the attempt on a result, a crash or a death (the race's
+        workers send no heartbeats)."""
         for kind, payload in member.worker.events():
-            if kind == "hb":
-                continue
             if kind == "result":
                 finish_attempt(member, payload)
             else:  # "crash" | "died"

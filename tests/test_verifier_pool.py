@@ -99,6 +99,28 @@ def test_final_message_follows_the_joined_heartbeat(
     assert conn.closed
 
 
+def test_parallel_portfolio_attempts_send_no_heartbeat(monkeypatch):
+    """The race acts on nothing a heartbeat carries, so its workers
+    start no heartbeat thread: under a 1ms cadence, which would flood
+    the pipe otherwise, every event the parent reads is a final one."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.setattr(pool, "HB_INTERVAL", 0.001)
+    kinds = []
+    events = pool.Worker.events
+
+    def recording(self):
+        for kind, payload in events(self):
+            kinds.append(kind)
+            yield kind, payload
+
+    monkeypatch.setattr(pool.Worker, "events", recording)
+    outcome = run_parallel_portfolio(
+        parse(CORRECT_SRC, name="incr2"), VerifierConfig(max_rounds=20), seeds=(1,)
+    )
+    assert Verdict.CORRECT in [m.verdict for m in outcome.members]
+    assert "result" in kinds and "hb" not in kinds
+
+
 #: (fault spec, verdict, failure_reason pattern, service counter bumped)
 CONTRACT = [
     (
