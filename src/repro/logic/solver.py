@@ -4,6 +4,8 @@ The solver performs DPLL-style case splitting over the boolean structure
 of a formula in NNF, accumulating linear constraints along each branch
 and pruning infeasible branches with rational Fourier–Motzkin checks.
 Leaves are decided by integer branch-and-bound (:mod:`repro.logic.fourier`).
+Each decided formula is compiled first (:func:`_compile`), so the search
+walks tuples and constraint bitmasks, never terms.
 
 Soundness notes:
 
@@ -26,8 +28,9 @@ from .atoms import LinearConstraint, atom_constraints
 from .fourier import (
     BranchBudgetExceeded,
     canonical,
-    integer_model_of,
-    rational_core,
+    mask_core,
+    mask_integer_model,
+    mask_of,
 )
 from .terms import register_kernel_cache
 from .terms import (
@@ -257,23 +260,85 @@ def _branches(literal: Term) -> tuple[tuple[LinearConstraint, ...], ...]:
     return result
 
 
-#: keyed by ``literal.nid`` like :data:`_branches_cache`: the
-#: :func:`~repro.logic.fourier.canonical` set of each alternative, or
-#: ``None`` for an alternative holding a trivially false constraint
-_theory_cache: dict[int, tuple[frozenset[LinearConstraint] | None, ...]] = {}
-
-
 def _theory_branches(literal: Term) -> tuple[frozenset[LinearConstraint] | None, ...]:
-    """:func:`_branches` with each alternative tightened once (memoized)."""
-    cached = _theory_cache.get(literal.nid)
+    """:func:`_branches` with each alternative tightened: its
+    :func:`~repro.logic.fourier.canonical` set, or ``None`` for an
+    alternative holding a trivially false constraint."""
+    return tuple(canonical(branch) for branch in _branches(literal))
+
+
+#: the compiled form of a formula a search node takes in:
+#: ``(false, units, ors, splits)``.  *false* says some conjunct is
+#: false; *units* is the mask of every unit literal's constraints;
+#: *ors* holds the arguments of each disjunction, and *splits* the side
+#: masks of each disequality, both in the order the search meets them
+#: walking the And/Or skeleton
+_Item = tuple[bool, int, tuple, tuple]
+
+_TRUE_ITEM: _Item = (False, 0, (), ())
+_FALSE_ITEM: _Item = (True, 0, (), ())
+
+#: keyed by ``literal.nid`` like :data:`_branches_cache`: the literal's
+#: compiled item, built from the masks of its :func:`_theory_branches`
+#: alternatives
+_literal_cache: dict[int, _Item] = {}
+
+
+def _literal_item(literal: Term) -> _Item:
+    """A literal's compiled item (memoized): a unit literal's mask, a
+    disequality's two side masks (``None`` for a trivially false side),
+    or false."""
+    cached = _literal_cache.get(literal.nid)
     if cached is None:
-        cached = tuple(canonical(branch) for branch in _branches(literal))
-        if len(_theory_cache) < 200_000:
-            _theory_cache[literal.nid] = cached
+        masks = tuple(
+            None if key is None else mask_of(key)
+            for key in _theory_branches(literal)
+        )
+        if len(masks) == 2:
+            cached = (False, 0, (), (masks,))
+        elif masks[0] is None:
+            cached = _FALSE_ITEM
+        else:
+            cached = (False, masks[0], (), ())
+        if len(_literal_cache) < 200_000:
+            _literal_cache[literal.nid] = cached
     return cached
 
 
-_NO_CONSTRAINTS: frozenset[LinearConstraint] = frozenset()
+def _compile(f: Term, memo: dict[int, _Item]) -> _Item:
+    """Compile a normalized formula for :meth:`Solver._search`.
+
+    Nested ``And``s are flattened into the order the search's work stack
+    pops their conjuncts: the last argument first, each nested ``And``
+    in place.  Every literal becomes its masks.  A disjunction keeps its
+    arguments as terms: the search compiles one only when a split takes
+    it, so a query compiles no more of its formula than it visits.
+    *memo* (by ``nid``, one per query) compiles a shared subterm once.
+    """
+    cls = f.__class__
+    if cls is And:
+        hit = memo.get(f.nid)
+        if hit is not None:
+            return hit
+        false, units, ors, splits = False, 0, [], []
+        for arg in reversed(f.args):
+            a_false, a_units, a_ors, a_splits = _compile(arg, memo)
+            false = false or a_false
+            units |= a_units
+            if a_ors:
+                ors.extend(a_ors)
+            if a_splits:
+                splits.extend(a_splits)
+        result = (false, units, tuple(ors), tuple(splits))
+        memo[f.nid] = result
+        return result
+    if cls is Or:
+        return (False, 0, (f.args,), ())
+    if cls is BoolConst:
+        return _TRUE_ITEM if f.value else _FALSE_ITEM
+    if _is_literal(f):
+        return _literal_item(f)
+    raise TypeError(f"unexpected node in NNF search: {f!r}")
 
 
 def _is_literal(f: Term) -> bool:
@@ -323,8 +388,11 @@ class Solver:
         self._node_budget = node_budget
         self._enable_cache = enable_cache
         self._nodes_this_query = 0
-        #: the key at each depth of the search's current path
-        self._path: list[frozenset[LinearConstraint]] = []
+        #: the key (a constraint mask) at each depth of the search's
+        #: current path
+        self._path: list[int] = []
+        #: the query's compiled subterms (see :func:`_compile`)
+        self._items: dict[int, _Item] = {}
         # all three caches key on interned-node ids: hashing is O(1) and
         # a hit never pays a structural compare; nids are never reused,
         # so entries for dead nodes are unreachable, never wrong
@@ -556,7 +624,7 @@ class Solver:
         self._nodes_this_query = 0
         started = time.perf_counter()
         try:
-            model = self._search([(nnf, 0)], _NO_CONSTRAINTS, _NO_CONSTRAINTS, 0)
+            model = self._search_root(nnf)
         except (BranchBudgetExceeded, SolverUnknown) as exc:
             self.stats.unknowns += 1
             if self._enable_cache and len(self._unknown_cache) < self._cache_size:
@@ -581,33 +649,47 @@ class Solver:
 
     # -- search -------------------------------------------------------------
 
+    def _search_root(self, nnf: Term) -> dict[str, int] | int:
+        """Compile *nnf* and search it from the root."""
+        try:
+            return self._search(_compile(nnf, self._items), 0, [], [], 0, 0, 0)
+        finally:
+            self._items.clear()
+
     def _search(
         self,
-        pending: list[tuple[Term, int]],
-        key: frozenset[LinearConstraint],
-        branch: frozenset[LinearConstraint] | None,
+        item: _Item | None,
+        tag: int,
+        ors: list[tuple[tuple, int]],
+        alternatives: list[tuple[tuple, int]],
+        key: int,
+        branch: int | None,
         depth: int,
     ) -> dict[str, int] | int:
         """One search node: a model, or the explanation of the failure.
 
-        *key* is the parent's canonical constraint set, which the parent
-        proved rationally feasible (the root's is empty); *branch* holds
-        the constraints of the disequality side this node takes, ``None``
-        if that side is trivially false.  The node adds only what its
-        own literals contribute, and probes feasibility only if that
-        grew the set.  Every node costs one unit of the node budget,
-        a trivially false disequality side included.
+        The node takes in *item* (a compiled formula, or ``None``) and
+        the disjunctions and disequalities its parent deferred, *ors*
+        (each Or's arguments) and *alternatives* (each disequality's
+        side masks).  *key* is the mask of the parent's
+        canonical constraint set, which the parent proved rationally
+        feasible (the root's is empty); *branch* is the mask of the
+        disequality side this node takes, ``None`` if that side is
+        trivially false.  The node adds only what its own item and
+        branch contribute, and probes feasibility only if that grew the
+        set.  Every node costs one unit of the node budget, a trivially
+        false disequality side included.
 
-        *depth* counts the splits above this node.  Each *pending*
-        formula carries the depth that introduced it, and a constraint
-        is tagged with the depth at which it entered the key (looked up
-        in :attr:`_path`).  A failed subtree returns its explanation, a
-        bitmask over the depths whose choices it depends on: an
-        infeasible core's tags, a false literal's tag, and at a failed
-        split, its children's explanations minus their own depth plus
-        the split formula's tag.  When a child's explanation leaves out
-        the child's own depth, the side it took played no part in the
-        failure, so every remaining side fails the same way and the
+        *depth* counts the splits above this node.  *item* and each
+        deferred entry carry the depth that introduced them, and a
+        constraint is tagged with the depth at which it entered the key
+        (read off :attr:`_path`).  A failed subtree returns its
+        explanation, a bitmask over the depths whose choices it depends
+        on: an infeasible core's tags, a false conjunct's tag, and at a
+        failed split, its children's explanations minus their own depth
+        plus the split formula's tag.  When a child's explanation leaves
+        out the child's own depth, the side it took played no part in
+        the failure, so every remaining side fails the same way and the
         split is abandoned (backjumping).  Integer-level failures explain
         with every depth, so above them the search stays chronological.
         """
@@ -619,53 +701,41 @@ class Solver:
                 raise SolverUnknown("solver deadline exceeded")
         if branch is None:
             return 1 << depth
-        # Process conjuncts and literals first, delaying disjunctive splits.
-        parts = [branch] if branch else []
-        ors: list[tuple[Term, int]] = []
-        alternatives: list[tuple[Term, int]] = []
-        work = list(pending)
-        while work:
-            item = work.pop()
-            f, tag = item
-            if isinstance(f, BoolConst):
-                if not f.value:
-                    return 1 << tag
-            elif isinstance(f, And):
-                work.extend([(a, tag) for a in f.args])
-            elif isinstance(f, Or):
-                ors.append(item)
-            elif _is_literal(f):
-                branches = _theory_branches(f)
-                if len(branches) == 1:
-                    if branches[0] is None:
-                        return 1 << tag
-                    parts.append(branches[0])
-                else:
-                    alternatives.append(item)  # disequality: split later
-            else:
-                raise TypeError(f"unexpected node in NNF search: {f!r}")
+        # Take in conjuncts and literals first, delaying disjunctive
+        # splits.  The order is that of a work stack holding the
+        # deferred entries and then the item: the item comes off first,
+        # then the deferred entries newest first, so each level reverses
+        # them.
+        grown = key | branch
+        ors = ors[::-1]
+        alternatives = alternatives[::-1]
+        if item is not None:
+            false, units, item_ors, item_splits = item
+            if false:
+                return 1 << tag
+            grown |= units
+            if item_ors:
+                ors[:0] = [(f, tag) for f in item_ors]
+            if item_splits:
+                alternatives[:0] = [(f, tag) for f in item_splits]
         path = self._path
         del path[depth:]
-        grown = key.union(*parts) if parts else key
-        if len(grown) > len(key):
+        path.append(grown)
+        if grown != key:
             # Feasibility pruning before splitting; an unchanged set is
             # the one the parent already proved feasible.
-            path.append(grown)
             if ors or alternatives:
-                core = rational_core(grown)
-                if core is not None:
+                core = mask_core(grown)
+                if core:
                     return self._explain(core, depth)
             key = grown
-        else:
-            path.append(key)
         child = depth + 1
         here = 1 << child
         if alternatives:
-            f, tag = alternatives.pop()
-            rest = ors + alternatives
+            sides, tag = alternatives.pop()
             why = 1 << tag
-            for side in _theory_branches(f):
-                hit = self._search(rest, key, side, child)
+            for side in sides:
+                hit = self._search(None, 0, ors, alternatives, key, side, child)
                 if hit.__class__ is not int:
                     return hit
                 if not hit & here:
@@ -673,40 +743,42 @@ class Solver:
                 why |= hit ^ here
             return why
         if ors:
-            f, tag = ors.pop()
+            args, tag = ors.pop()
             why = 1 << tag
-            for arg in f.args:
-                hit = self._search(ors + [(arg, child)], key, _NO_CONSTRAINTS, child)
+            items = self._items
+            for arg in args:
+                hit = self._search(
+                    _compile(arg, items), child, ors, [], key, 0, child
+                )
                 if hit.__class__ is not int:
                     return hit
                 if not hit & here:
                     return hit
                 why |= hit ^ here
             return why
-        model = integer_model_of(key, budget=self._branch_budget)
+        model = mask_integer_model(key, budget=self._branch_budget)
         if model is not None:
             return model
-        core = rational_core(key)
-        if core is None:
+        core = mask_core(key)
+        if not core:
             # rationally feasible but integer-infeasible: no core
             return here - 1
         return self._explain(core, depth)
 
-    def _explain(self, core: frozenset[LinearConstraint], depth: int) -> int:
+    def _explain(self, core: int, depth: int) -> int:
         """The depths at which *core*'s constraints entered the key.
 
         ``_path[d]`` is the key at depth ``d`` of the current path; the
-        keys grow down the path, so a binary search finds the first.
+        keys grow down the path, so a constraint entered at the first
+        depth whose key holds it: one AND per depth, until the whole
+        core is placed.
         """
-        path = self._path
         why = 0
-        for c in core:
-            lo, hi = 0, depth
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if c in path[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            why |= 1 << lo
+        for d, key in enumerate(self._path[: depth + 1]):
+            found = core & key
+            if found:
+                why |= 1 << d
+                core ^= found
+                if not core:
+                    break
         return why
