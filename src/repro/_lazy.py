@@ -4,12 +4,13 @@ A package ``__init__`` that re-exports names from modules a default run
 never executes lists them in a ``_LAZY`` table (export name → module
 relative to the package) and installs it::
 
-    _LAZY = {"serve": ".server", "ServiceClient": ".client"}
+    _LAZY = {"certify": ".certify", "run_parallel_portfolio": ".runtime"}
     lazy_exports(__name__)
 
-``import pkg`` then leaves ``pkg.server`` unloaded.  The first
-``pkg.serve`` (or ``from pkg import serve``) imports it and stores the
-value in the package, so every later read is a plain attribute read.
+``import pkg`` then leaves ``pkg.runtime`` unloaded.  The first
+``pkg.run_parallel_portfolio`` (or ``from pkg import
+run_parallel_portfolio``) imports it and stores the value in the
+package, so every later read is a plain attribute read.
 ``dir(pkg)`` lists the lazy names as well.  See ``docs/architecture.md``
 ("Import layout") for which modules load eagerly and why.
 """

@@ -326,137 +326,6 @@ def _cmd_bench_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service.policy import (
-        AdmissionPolicy,
-        BreakerPolicy,
-        RetryPolicy,
-        ServicePolicies,
-    )
-    from .service.server import ServiceConfig, serve_main
-
-    config = ServiceConfig(
-        socket_path=args.socket,
-        journal_path=args.journal,
-        workers=args.workers,
-        verifier=VerifierConfig(
-            max_rounds=args.max_rounds,
-            time_budget=args.timeout,
-            store_path=_store_path(args),
-        ),
-        policies=ServicePolicies(
-            admission=AdmissionPolicy(
-                max_queue_depth=args.max_queue_depth,
-                max_tenant_outstanding=args.max_tenant_outstanding,
-            ),
-            retry=RetryPolicy(max_attempts=args.max_attempts),
-            breaker=BreakerPolicy(
-                threshold=args.breaker_threshold,
-                cooldown_seconds=args.breaker_cooldown,
-            ),
-        ),
-        member_timeout=args.member_timeout,
-        fault_plan=_parse_fault_plan(args.inject_faults),
-        fault_fraction=args.fault_fraction,
-        fault_attempts=args.fault_attempts,
-    )
-    return serve_main(config)
-
-
-def _submit_spec(args: argparse.Namespace, *, bench=None, path=None) -> dict:
-    spec: dict = {"order": args.order, "tenant": args.tenant}
-    if bench is not None:
-        spec["bench"] = bench
-    else:
-        spec["source"] = Path(path).read_text()
-        spec["name"] = Path(path).stem
-    if args.job_timeout is not None:
-        spec["timeout"] = args.job_timeout
-    if args.max_attempts is not None:
-        spec["max_attempts"] = args.max_attempts
-    if args.cost != 1:
-        spec["cost"] = args.cost
-    if getattr(args, "baseline_digest", None):
-        spec["baseline_digest"] = args.baseline_digest
-    return spec
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service.client import ServiceClient, ServiceError
-    from .verifier.stats import QueryStats
-
-    if not args.files and not args.bench:
-        raise SystemExit("nothing to submit (give FILEs and/or --bench)")
-    specs = [_submit_spec(args, bench=b) for b in args.bench or ()]
-    specs += [_submit_spec(args, path=f) for f in args.files]
-    exit_code = 0
-    with ServiceClient(args.socket, timeout=args.wait_timeout) as client:
-        reply = client.submit(specs)
-        ids = []
-        for spec, entry in zip(specs, reply["jobs"]):
-            label = spec.get("bench") or spec.get("name")
-            if "id" in entry:
-                ids.append((label, entry["id"]))
-                print(f"accepted {entry['id']}  {label}")
-            else:
-                print(f"shed     {label}: {entry.get('reason')}")
-                exit_code = 1
-        if args.no_wait:
-            return exit_code
-        on_event = None
-        if args.stream:
-            def on_event(event):  # noqa: E306 - tiny CLI callback
-                print(f"  [{event.get('id')}] {event}")
-        for label, job_id in ids:
-            try:
-                view = client.wait(
-                    job_id, timeout=args.wait_timeout, on_event=on_event
-                )
-            except ServiceError as exc:
-                print(f"{job_id}  {label}: {exc}")
-                exit_code = 1
-                continue
-            result = view.get("result") or {}
-            verdict = result.get("verdict", view["state"])
-            print(
-                f"{job_id}  {label}: {verdict}  "
-                f"rounds={result.get('rounds', 0)}  "
-                f"attempts={view.get('attempts', 0)}  "
-                f"time={result.get('time_s', 0.0):.2f}s"
-            )
-            if verdict not in ("correct", "incorrect"):
-                exit_code = 1
-            if args.show_cache_stats and result.get("query_stats"):
-                _print_cache_stats(QueryStats.from_dict(result["query_stats"]))
-    return exit_code
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
-    from .service.client import ServiceClient
-
-    with ServiceClient(args.socket) as client:
-        if args.cancel:
-            print(json.dumps(client.cancel(args.cancel), indent=2))
-            return 0
-        if args.drain:
-            print(json.dumps(client.drain(), indent=2))
-            return 0
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2))
-            return 0
-        if args.job_id:
-            print(json.dumps(client.status(args.job_id)["job"], indent=2))
-            return 0
-        health = client.health()
-        status = client.status()
-        health.pop("ok", None)
-        status.pop("ok", None)
-        print(json.dumps({**health, **status}, indent=2))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -594,121 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("bench-list", help="list the benchmark registry")
     p_list.set_defaults(func=_cmd_bench_list)
-
-    def socket_flag(p):
-        from .service.protocol import DEFAULT_SOCKET
-
-        p.add_argument(
-            "--socket", default=DEFAULT_SOCKET, metavar="PATH",
-            help="service Unix socket path",
-        )
-
-    p_serve = sub.add_parser(
-        "serve", help="run the resilient verification service"
-    )
-    socket_flag(p_serve)
-    p_serve.add_argument(
-        "--journal", default="repro-jobs.journal", metavar="PATH",
-        help="crash-recoverable job journal (replayed on restart)",
-    )
-    p_serve.add_argument("--workers", type=int, default=4)
-    p_serve.add_argument("--max-rounds", type=int, default=60)
-    p_serve.add_argument(
-        "--timeout", type=float, default=None,
-        help="base per-job verifier time budget (seconds)",
-    )
-    p_serve.add_argument(
-        "--member-timeout", type=float, default=60.0, metavar="SECONDS",
-        help="hard per-attempt watchdog; overrunning workers are killed",
-    )
-    p_serve.add_argument("--max-queue-depth", type=int, default=256)
-    p_serve.add_argument(
-        "--max-tenant-outstanding", type=int, default=64,
-        help="per-tenant admission budget (outstanding job cost)",
-    )
-    p_serve.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="attempts per job (escalating budgets, seeded backoff)",
-    )
-    p_serve.add_argument(
-        "--breaker-threshold", type=int, default=3,
-        help="worker-level faults per tenant/family before quarantine",
-    )
-    p_serve.add_argument("--breaker-cooldown", type=float, default=5.0)
-    p_serve.add_argument(
-        "--inject-faults", metavar="SPEC", default=None,
-        help="chaos: seeded fault plan injected into worker attempts",
-    )
-    p_serve.add_argument(
-        "--fault-fraction", type=float, default=1.0,
-        help="fraction of jobs whose first attempts get the fault plan",
-    )
-    p_serve.add_argument(
-        "--fault-attempts", type=int, default=1,
-        help="inject only into attempts <= N (transient-fault model)",
-    )
-    p_serve.add_argument("--proof-store", metavar="PATH", default=None)
-    p_serve.add_argument("--no-proof-store", action="store_true")
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit jobs to a running service"
-    )
-    socket_flag(p_submit)
-    p_submit.add_argument(
-        "files", nargs="*", help="program files to verify"
-    )
-    p_submit.add_argument(
-        "--bench", action="append", metavar="NAME",
-        help="registry benchmark to verify (repeatable)",
-    )
-    p_submit.add_argument("--order", default="seq")
-    p_submit.add_argument("--tenant", default="default")
-    p_submit.add_argument("--cost", type=int, default=1)
-    p_submit.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-attempt watchdog override for these jobs",
-    )
-    p_submit.add_argument(
-        "--max-attempts", type=int, default=None,
-        help="retry-budget override for these jobs",
-    )
-    p_submit.add_argument(
-        "--no-wait", action="store_true",
-        help="return after the admission ack instead of waiting",
-    )
-    p_submit.add_argument(
-        "--stream", action="store_true",
-        help="print progress/attempt/retry events while waiting",
-    )
-    p_submit.add_argument(
-        "--wait-timeout", type=float, default=600.0, metavar="SECONDS",
-    )
-    p_submit.add_argument("--show-cache-stats", action="store_true")
-    p_submit.add_argument(
-        "--baseline-digest", metavar="HEX", default=None,
-        help="program digest of a previously verified baseline; the "
-             "worker serves unchanged-thread facts from its proof store "
-             "(delta verification of an edit against a prior job)",
-    )
-    p_submit.set_defaults(func=_cmd_submit)
-
-    p_status = sub.add_parser(
-        "status", help="inspect or administer a running service"
-    )
-    socket_flag(p_status)
-    p_status.add_argument("job_id", nargs="?", help="job id to inspect")
-    p_status.add_argument(
-        "--stats", action="store_true", help="print service counters"
-    )
-    p_status.add_argument(
-        "--drain", action="store_true",
-        help="graceful shutdown: finish in-flight jobs, flush, exit",
-    )
-    p_status.add_argument(
-        "--cancel", metavar="JOB_ID", help="cancel a queued/running job"
-    )
-    p_status.set_defaults(func=_cmd_status)
 
     return parser
 

@@ -3,9 +3,9 @@
 The verify pipeline's delta layer.  :mod:`repro.delta.diff` turns two
 program versions into an :class:`EditPlan` (per-thread, per-statement
 classification over content digests) and attributes persistent-store
-reuse of Hoare and commutativity facts to it.  Entry points: ``verify(config.baseline_digest=...)``, the
-``repro diff-verify`` CLI, and the service's ``baseline_digest`` job
-field.
+reuse of Hoare and commutativity facts to it.  Entry points:
+``verify(config.baseline_digest=...)`` and the ``repro diff-verify``
+CLI.
 """
 
 from .diff import (

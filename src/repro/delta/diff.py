@@ -11,9 +11,9 @@ landed — that is this module's job.
 a program (per-thread locations + edge lists carrying statement digest
 hexes, plus the pre/post digests).  ``verify()`` persists the shape of
 every store-backed run under the program's own digest (kind
-``shape``), so a later *delta run* needs only the baseline's digest —
-a hex string a service tenant can quote — to reconstruct what the old
-program looked like and diff the new one against it.
+``shape``), so a later *delta run* needs only the baseline's digest,
+a hex string, to reconstruct what the old program looked like and diff
+the new one against it.
 
 :class:`EditPlan` is that diff: each thread classified as ``unchanged``
 / ``edited`` (same CFG skeleton, some statement contents differ) /

@@ -80,7 +80,6 @@ __all__ = [
     "certify",
     "certify_unreduced",
     "DegradingCommutativity",
-    "ProgressMeter",
     "RetryPolicy",
     "run_parallel_portfolio",
 ]
@@ -89,7 +88,6 @@ _LAZY = {
     "certify": ".certify",
     "certify_unreduced": ".certify",
     "DegradingCommutativity": ".pool",
-    "ProgressMeter": ".pool",
     "RetryPolicy": ".runtime",
     "run_parallel_portfolio": ".runtime",
 }

@@ -327,11 +327,6 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
         check_done = time.perf_counter()
         result.rounds += 1
         result.states_explored += outcome.states_explored
-        # progress metering: a worker's heartbeat thread reads the meter
-        # attached to this run's solver (repro.verifier.pool)
-        meter = getattr(solver, "progress_meter", None)
-        if meter is not None:
-            meter.update(result.rounds, result.states_explored)
         round_stats = RoundStats(
             states_explored=outcome.states_explored,
             check_seconds=check_done - round_started,

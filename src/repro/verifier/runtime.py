@@ -42,24 +42,64 @@ harness.
 
 from __future__ import annotations
 
+import random
 import signal as signal_module
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Sequence
 
 from ..core.preference import PreferenceOrder
 from ..lang.program import ConcurrentProgram
-
-# the retry policy generalized out of this module (PR 7): it now lives
-# with the other service policies; re-exported here so
-# ``repro.verifier.RetryPolicy`` remains the stable import path
-from ..service.policy import RetryPolicy
 from . import pool
-from .faults import FaultPlan
+from .faults import FaultPlan, derive_seed
 from .refinement import VerifierConfig
 from .stats import Verdict, VerificationResult
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded, escalating, deterministically-jittered member retries.
+
+    ``max_attempts`` counts total runs of a member (1 = never retry).
+    Each retry multiplies the solver branch/node budgets, the
+    verification time budget, and the watchdog deadline by
+    ``budget_scale`` (cumulatively), and waits
+    ``backoff_seconds * budget_scale**(attempt-1)`` plus a seeded jitter
+    before respawning, so a crashing member cannot hot-loop.
+    """
+
+    max_attempts: int = 1
+    budget_scale: float = 2.0
+    backoff_seconds: float = 0.05
+    jitter: float = 0.5
+    seed: int = 0
+    retry_on: frozenset = frozenset(
+        {Verdict.UNKNOWN, Verdict.TIMEOUT, Verdict.ERROR}
+    )
+
+    def scale(self, attempt: int) -> float:
+        """Budget multiplier for *attempt* (1-based; attempt 1 → 1.0)."""
+        return self.budget_scale ** (attempt - 1)
+
+    def backoff(self, member: str, attempt: int) -> float:
+        """Deterministic jittered pause before respawning *member*."""
+        rng = random.Random(derive_seed(self.seed, f"{member}#{attempt}"))
+        base = self.backoff_seconds * self.scale(attempt)
+        return base * (1.0 + self.jitter * rng.random())
+
+    def schedule(self, member: str, attempts: int | None = None) -> list[float]:
+        """The full backoff schedule for *member* (test/debug preview).
+
+        Replays :meth:`backoff` for attempts ``1..attempts`` (default:
+        ``max_attempts``), so two previews of the same policy and member
+        always agree — the property the determinism tests pin.
+        """
+        n = self.max_attempts if attempts is None else attempts
+        return [self.backoff(member, attempt) for attempt in range(1, n + 1)]
+
+    def wants_retry(self, verdict: Verdict, attempt: int) -> bool:
+        return verdict in self.retry_on and attempt < self.max_attempts
 
 
 @dataclass
@@ -130,7 +170,8 @@ def run_parallel_portfolio(
             ),
         )
         member.worker = pool.Worker(
-            partial(pool.prebuilt, program, member.order),
+            program,
+            member.order,
             worker_config,
             attempt=member.attempt,
             name=f"portfolio-{program.name}-{member.name}-a{member.attempt}",
@@ -141,7 +182,6 @@ def run_parallel_portfolio(
                 else None
             ),
             degrade_after=degrade_after,
-            heartbeat=False,
         )
         member.spawned_at = member.worker.started
         member.deadline = (
@@ -179,8 +219,7 @@ def run_parallel_portfolio(
             member.final = result
 
     def drain(member: _Member) -> None:
-        """End the attempt on a result, a crash or a death (the race's
-        workers send no heartbeats)."""
+        """End the attempt on a result, a crash or a death."""
         for kind, payload in member.worker.events():
             if kind == "result":
                 finish_attempt(member, payload)
@@ -224,7 +263,7 @@ def run_parallel_portfolio(
     # and reap the workers (no orphan process trees) and still return a
     # complete PortfolioResult — every unfinished member becomes a
     # contained Verdict.ERROR.  Handlers can only be installed from the
-    # main thread; elsewhere (e.g. a service scheduler thread) the
+    # main thread; elsewhere (e.g. a caller's worker thread) the
     # process-level handler owns the signal and this stays inert.
     received_signals: list[int] = []
     previous_handlers: dict[int, object] = {}

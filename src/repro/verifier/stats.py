@@ -79,9 +79,9 @@ class QueryStats:
     and the benchmark harness.
 
     The fields are the only declaration of a counter: collection,
-    :meth:`as_dict` / :meth:`from_dict`, :meth:`total` and the CSV
-    export loop over them, and :meth:`summary` formats them by name
-    (see ``_SUMMARY`` / ``_SUMMARY_GATED``).
+    :meth:`as_dict`, :meth:`total` and the CSV export loop over them,
+    and :meth:`summary` formats them by name (see ``_SUMMARY`` /
+    ``_SUMMARY_GATED``).
     """
 
     # solver-level (repro.logic.Solver)
@@ -138,13 +138,6 @@ class QueryStats:
     store_misses: int = 0
     store_writes: int = 0
     store_entries: int = 0
-    # verification service (repro.service); fleet-level counters folded
-    # into each job's result by the server so they ride the existing
-    # CSV/JSON/--show-cache-stats paths.  Zero outside service runs.
-    service_jobs: int = 0
-    service_retries: int = 0
-    service_shed: int = 0
-    service_breaker_trips: int = 0
     # delta verification (repro.delta); all zero outside delta runs.
     # The plan counters describe the edit; the reused/missed splits
     # count persistent-store probes for Hoare and commutativity facts
@@ -294,13 +287,6 @@ class QueryStats:
             if name not in ABSOLUTE
         })
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QueryStats":
-        """Rebuild from :meth:`as_dict` output (service result payloads
-        cross a process + JSON boundary).  Unknown keys — the derived
-        hit rates, forward-compat fields — are ignored."""
-        return cls(**{k: v for k, v in data.items() if k in _FIELD_SET})
-
     def as_dict(self) -> dict:
         out = {name: getattr(self, name) for name in FIELDS}
         out.update((name, round(getattr(self, name), 4)) for name in RATIOS)
@@ -357,10 +343,6 @@ CSV_COLUMNS = (
     "store_hits",
     "store_hit_rate",
     "store_writes",
-    "service_jobs",
-    "service_retries",
-    "service_shed",
-    "service_breaker_trips",
     "delta_threads_unchanged",
     "delta_threads_edited",
     "delta_hoare_reused",
@@ -435,17 +417,6 @@ _SUMMARY_GATED = (
         "fact reuse {delta_fact_reuse_rate:.1%} "
         "(hoare {delta_hoare_reused}/{delta_hoare_asked}, "
         "comm {delta_comm_reused}/{delta_comm_asked})",
-    ),
-    (
-        (
-            "service_jobs",
-            "service_retries",
-            "service_shed",
-            "service_breaker_trips",
-        ),
-        "service:       {service_jobs} jobs completed, "
-        "{service_retries} retries, {service_shed} shed, "
-        "{service_breaker_trips} breaker trips",
     ),
     (
         (

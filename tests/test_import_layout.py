@@ -2,12 +2,11 @@
 
 ``import repro`` loads exactly the modules that a default ``verify()``, a
 sequential ``verify_portfolio()`` and a store-backed ``verify()`` against
-a baseline execute; everything else (the parallel runtime, the whole
-service package, the certificate checker, the standalone reduction
-automata, the concrete interpreter, the semantic simplifier) loads on
-first use.  Each
-check runs in a new ``python -S`` process, since this test session has
-long since imported everything.
+a baseline execute; everything else (the parallel runtime, the
+certificate checker, the standalone reduction automata, the concrete
+interpreter, the semantic simplifier) loads on first use.  Each check
+runs in a new ``python -S`` process, since this test session has long
+since imported everything.
 """
 
 from __future__ import annotations
@@ -30,9 +29,6 @@ OFF_PATH = (
     "repro.verifier.runtime",
     "repro.verifier.pool",
     "repro.verifier.certify",
-    "repro.service",
-    "repro.service.policy",
-    "repro.service.server",
     "repro.core.reduction",
     "repro.core.sleepset",
     "repro.core.mazurkiewicz",
@@ -47,7 +43,6 @@ PACKAGES = (
     "repro.core",
     "repro.lang",
     "repro.logic",
-    "repro.service",
     "repro.store",
 )
 

@@ -19,10 +19,6 @@ SECTION_GATES = (
     "delta_threads_unchanged",
     "delta_threads_edited",
     "delta_hoare_reused",
-    "service_jobs",
-    "service_retries",
-    "service_shed",
-    "service_breaker_trips",
     "triage_ranker_hits",
     "triage_ladder_stages",
     "triage_preemptions",
@@ -71,7 +67,6 @@ CSV_TEXT = (
     "fastpath_step_hits,"
     "fastpath_commute_mask_hits,intern_hit_rate,substitute_hit_rate,"
     "reintern_count,store_hits,store_hit_rate,store_writes,"
-    "service_jobs,service_retries,service_shed,service_breaker_trips,"
     "delta_threads_unchanged,delta_threads_edited,delta_hoare_reused,"
     "delta_comm_reused,delta_fact_reuse_rate,triage_ranker_hits,"
     "triage_ladder_stages,triage_preemptions,"
@@ -79,10 +74,10 @@ CSV_TEXT = (
     "degraded\r\n"
     "golden,incorrect,seq,sleep,fast,3,5,7,11,1.2346,2500000,1,5,"
     "9.0000,9,0.6842,0.4865,17,20,22,25,28,30,0.4923,0.4932,35,40,"
-    "0.4938,42,44,45,46,47,48,49,51,53,0.4952,56,57,58,59.6250,"
+    "0.4938,42,44,45,47,49,0.4948,52,53,54,55.6250,"
     '"budget, ""quoted""",2,1,1\r\n'
     "bare,correct,lockstep,combined,fast,0,0,0,0,0.0000,0,,,,,,,,,,,,,,"
-    ",,,,,,,,,,,,,,,,,,,1,0,0\r\n"
+    ",,,,,,,,,,,,,,,1,0,0\r\n"
 )
 
 
@@ -152,22 +147,18 @@ QUERY_STATS_DICT = {
     "store_misses": 41,
     "store_writes": 42,
     "store_entries": 43,
-    "service_jobs": 44,
-    "service_retries": 45,
-    "service_shed": 46,
-    "service_breaker_trips": 47,
-    "delta_threads_unchanged": 48,
-    "delta_threads_edited": 49,
-    "delta_statements_edited": 50,
-    "delta_hoare_reused": 51,
-    "delta_hoare_missed": 52,
-    "delta_comm_reused": 53,
-    "delta_comm_missed": 54,
-    "digest_memo_evictions": 55,
-    "triage_ranker_hits": 56,
-    "triage_ladder_stages": 57,
-    "triage_preemptions": 58,
-    "triage_budget_saved_seconds": 59.625,
+    "delta_threads_unchanged": 44,
+    "delta_threads_edited": 45,
+    "delta_statements_edited": 46,
+    "delta_hoare_reused": 47,
+    "delta_hoare_missed": 48,
+    "delta_comm_reused": 49,
+    "delta_comm_missed": 50,
+    "digest_memo_evictions": 51,
+    "triage_ranker_hits": 52,
+    "triage_ladder_stages": 53,
+    "triage_preemptions": 54,
+    "triage_budget_saved_seconds": 55.625,
     "solver_hit_rate": 9.0,
     "commutativity_hit_rate": 0.6842,
     "edge_sort_hit_rate": 0.4865,
@@ -175,7 +166,7 @@ QUERY_STATS_DICT = {
     "substitute_hit_rate": 0.4932,
     "free_vars_hit_rate": 1.0,
     "store_hit_rate": 0.4938,
-    "delta_fact_reuse_rate": 0.4952,
+    "delta_fact_reuse_rate": 0.4948,
 }
 
 
@@ -198,12 +189,10 @@ SUMMARY_ALL_ON = (
     " 43 entries on disk\n"
     "fast path:     25 rounds, edge tables 26 hits / 27 compiled,"
     " steps 28 hits / 29 misses, commute masks 30 hits / 31 misses\n"
-    "delta:         48 threads unchanged / 49 edited (50 statements),"
-    " fact reuse 49.5% (hoare 51/103, comm 53/107)\n"
-    "service:       44 jobs completed, 45 retries, 46 shed,"
-    " 47 breaker trips\n"
-    "triage:        56 ranker hits, 57 ladder stages, 58 preemptions,"
-    " 59.6s budget saved"
+    "delta:         44 threads unchanged / 45 edited (46 statements),"
+    " fact reuse 49.5% (hoare 47/95, comm 49/99)\n"
+    "triage:        52 ranker hits, 53 ladder stages, 54 preemptions,"
+    " 55.6s budget saved"
 )
 
 
@@ -309,8 +298,4 @@ def test_summary_all_zero():
 def test_result_rows():
     assert [result_row(r) for r in golden_results()] == RESULT_ROWS
 
-
-def test_dict_round_trip():
-    qs = distinct_stats()
-    assert QueryStats.from_dict(qs.as_dict()) == qs
 

@@ -61,6 +61,60 @@ class TestRetryPolicy:
         assert not policy.wants_retry(Verdict.CORRECT, 1)
 
 
+class TestRetryPolicyDeterminism:
+    def test_same_seed_same_schedule(self):
+        a = RetryPolicy(max_attempts=5, seed=11, jitter=0.5)
+        b = RetryPolicy(max_attempts=5, seed=11, jitter=0.5)
+        assert a.schedule("seq") == b.schedule("seq")
+        assert a.schedule("j000042") == b.schedule("j000042")
+
+    def test_different_seed_different_schedule(self):
+        a = RetryPolicy(max_attempts=4, seed=1)
+        b = RetryPolicy(max_attempts=4, seed=2)
+        assert a.schedule("seq") != b.schedule("seq")
+
+    def test_different_member_different_jitter(self):
+        policy = RetryPolicy(max_attempts=4, seed=7)
+        assert policy.schedule("seq") != policy.schedule("lockstep")
+
+    def test_schedule_replays_backoff_exactly(self):
+        policy = RetryPolicy(max_attempts=6, seed=3)
+        preview = policy.schedule("m")
+        assert preview == [policy.backoff("m", n) for n in range(1, 7)]
+        # calling backoff out of order must not perturb the schedule
+        policy.backoff("m", 3)
+        policy.backoff("m", 1)
+        assert policy.schedule("m") == preview
+
+    def test_backoff_monotone_base_escalation(self):
+        # jitter is bounded by 50%, escalation doubles: with jitter off
+        # the schedule is strictly increasing, and each jittered delay
+        # stays within [base, base * (1 + jitter)]
+        plain = RetryPolicy(max_attempts=6, jitter=0.0, backoff_seconds=0.05)
+        schedule = plain.schedule("m")
+        assert schedule == sorted(schedule)
+        assert all(b > a for a, b in zip(schedule, schedule[1:]))
+        jittered = RetryPolicy(
+            max_attempts=6, jitter=0.5, backoff_seconds=0.05, seed=9
+        )
+        for attempt, delay in enumerate(jittered.schedule("m"), start=1):
+            base = 0.05 * jittered.scale(attempt)
+            assert base <= delay <= base * 1.5
+
+    def test_budget_scale_monotone(self):
+        policy = RetryPolicy(max_attempts=5, budget_scale=2.0)
+        scales = [policy.scale(n) for n in range(1, 6)]
+        assert scales == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+    def test_wants_retry_only_on_retryable(self):
+        policy = RetryPolicy(max_attempts=3)
+        assert policy.wants_retry(Verdict.ERROR, 1)
+        assert policy.wants_retry(Verdict.TIMEOUT, 2)
+        assert not policy.wants_retry(Verdict.ERROR, 3)
+        assert not policy.wants_retry(Verdict.CORRECT, 1)
+        assert not policy.wants_retry(Verdict.INCORRECT, 1)
+
+
 class TestDegradingCommutativity:
     def _statements(self):
         # same shared variable, different threads: the syntactic check
