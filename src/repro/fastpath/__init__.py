@@ -14,12 +14,14 @@ the compiled counterpart of that stack:
   contexts / Floyd-Hoare states, preference orders as precomputed
   per-context rank arrays, letter sets ↔ int bitmasks;
 * :mod:`~repro.fastpath.pipeline` — the fast layer pipeline: per
-  ``(q, ctx)`` compiled ⋖-sorted edge tables with per-edge
-  strictly-lower masks and ``q + delta`` successors, enabled masks,
-  and the membrane folded into each table;
+  context, each thread's edges per digit compiled once to rank-sorted
+  rows, and whether the context is thread-major; per ``(q, ctx)``, a
+  table of the concatenated rows (sorted only off the thread-major
+  path), the enabled mask, the goal flags and the membrane mask;
 * :mod:`~repro.fastpath.engine` — the integer worklist engine: BFS/DFS
   over packed ``(q, φ, S, ctx)`` int tuples with the same budget,
-  deadline-tick, and grey-cut-taint semantics as the pure engine;
+  deadline-tick, and grey-cut-taint semantics as the pure engine, one
+  table lookup per popped state for its goal flags and its edges;
 * :mod:`~repro.fastpath.check` — the glue that runs one proof-check
   round on the fast engine for :class:`~repro.verifier.checkproof.
   ProofChecker`, owning the id↔object decode boundary (commutativity

@@ -13,8 +13,13 @@ solver the pure path uses, so the answers (and with them verdicts,
 rounds, proofs, counterexamples, and per-round state counts) are
 bit-identical to the pure engine's.
 
-On top of the shared caches the fast path adds three id-keyed memos the
-pure path cannot express cheaply:
+:meth:`FastChecker.expand` walks a state's edge table (see
+:mod:`repro.fastpath.pipeline`): it computes each successor as ``q +
+delta`` and the sleep rule's lower mask as a prefix OR while it
+iterates, and skips the rows outside the membrane.  On top of the
+shared caches the fast path adds three id-keyed memos the pure path
+cannot express cheaply; the expansion reads the step and
+commutativity-mask memos inline and calls a method only on a miss:
 
 * ``step`` — ``(φ_id, a_id) -> φ_id``; a thin integer front for the
   Hoare automaton's own step cache, cleared whenever the vocabulary
@@ -50,7 +55,7 @@ from ..verifier.checkproof import (
 from ..verifier.hoare import BOTTOM, FloydHoareAutomaton
 from .encoder import ProgramEncoder
 from .engine import PackedState, RoundStats, run_bfs, run_dfs
-from .pipeline import FastPipeline
+from .pipeline import EdgeTable, FastPipeline
 
 #: entails-memo miss sentinel (False is a valid cached answer)
 _MISS = object()
@@ -108,8 +113,6 @@ class FastChecker:
         self._static_commute = checker._conditional is None
         self.bottom = enc.phi_id(BOTTOM)
         self._shift = enc.letter_bits
-        # goal flags per flagged product state: bit 1 violation, bit 2 exit
-        self._flag_memo: dict[int, int] = {}
         # the id-keyed memos (see module docstring)
         self._step_memo: dict[int, int] = {}
         self._step_vocab = -1
@@ -132,6 +135,9 @@ class FastChecker:
         self.budget_message = "proof check exceeded its state budget"
         self.deadline_error = CheckDeadlineExceeded
         self.useless: _FastUselessHook | None = None
+        # the table memo and its miss, read by the engine per popped state
+        self.tables = self.pipeline.tables
+        self.compile_table = self.pipeline.compile_table
 
     # -- vocabulary / automaton lifecycle --------------------------------------
 
@@ -169,17 +175,13 @@ class FastChecker:
 
     # -- the decode boundary ----------------------------------------------------
 
-    def step(self, phi: int, a_id: int) -> int:
-        """``(φ_id, a_id) -> φ_id`` through the Hoare automaton."""
-        key = (phi << self._shift) | a_id
-        nxt = self._step_memo.get(key)
-        if nxt is None:
-            self.step_misses += 1
-            enc = self.enc
-            nxt = enc.phi_id(self._fh.step(enc.phi_of(phi), enc.letters[a_id]))
-            self._step_memo[key] = nxt
-        else:
-            self.step_hits += 1
+    def _step_miss(self, phi: int, a_id: int, key: int) -> int:
+        """``(φ_id, a_id) -> φ_id`` through the Hoare automaton, stored
+        under *key* in the step memo."""
+        self.step_misses += 1
+        enc = self.enc
+        nxt = enc.phi_id(self._fh.step(enc.phi_of(phi), enc.letters[a_id]))
+        self._step_memo[key] = nxt
         return nxt
 
     def entails(self, phi: int) -> bool:
@@ -190,16 +192,9 @@ class FastChecker:
             self._entails_memo[phi] = answer
         return answer
 
-    def flag(self, q: int) -> int:
-        """Goal flags of a packed product state (bit 1 violation, bit 2
-        exit), memoized per flagged state."""
-        f = self._flag_memo.get(q)
-        if f is None:
-            f = self._flag_memo[q] = self.enc.goal_flags(q)
-        return f
-
     def _commute_mask(self, phi: int, a_id: int, cand: int) -> int:
-        """The sleep set ``{b ∈ cand | a ↷↷_φ b}`` as a mask.
+        """The sleep set ``{b ∈ cand | a ↷↷_φ b}`` as a mask, when some
+        bit of *cand* is not yet decided (a commute-mask miss).
 
         Memoized as a ``[known, true]`` mask pair; unknown candidate
         bits are decided through :meth:`ProofChecker._commute` — the
@@ -215,57 +210,94 @@ class FastChecker:
             self._cmask[key] = entry
         known, true = entry
         unknown = cand & ~known
-        if unknown:
-            self.commute_mask_misses += 1
-            enc = self.enc
-            letters = enc.letters
-            commute = self.checker._commute
-            fh = self._fh
-            phi_obj = enc.phi_of(phi)
-            a = letters[a_id]
-            while unknown:
-                bit = unknown & -unknown
-                if commute(fh, phi_obj, a, letters[bit.bit_length() - 1]):
-                    true |= bit
-                known |= bit
-                unknown ^= bit
-            entry[0] = known
-            entry[1] = true
-        else:
-            self.commute_mask_hits += 1
+        self.commute_mask_misses += 1
+        enc = self.enc
+        letters = enc.letters
+        commute = self.checker._commute
+        fh = self._fh
+        phi_obj = enc.phi_of(phi)
+        a = letters[a_id]
+        while unknown:
+            bit = unknown & -unknown
+            if commute(fh, phi_obj, a, letters[bit.bit_length() - 1]):
+                true |= bit
+            known |= bit
+            unknown ^= bit
+        entry[0] = known
+        entry[1] = true
         return cand & true
 
     # -- expansion (the reduction rule over masks) -------------------------------
 
-    def expand(self, state: PackedState) -> list[tuple[int, PackedState]]:
-        """Reduced successor edges of a packed state.
+    def expand(
+        self, state: PackedState, table: EdgeTable
+    ) -> list[tuple[int, PackedState]]:
+        """Reduced successor edges of a packed state, from its *table*.
 
-        The sleep rule over masks: candidates ``(S | lower_a) & enabled``
-        (``lower_a`` precomputed as a prefix OR over the ⋖-sorted edge
-        table), filtered by commutativity with the taken letter.  The
-        table holds only the membrane's edges.  The engine never expands
+        The sleep rule over masks: candidates ``(S | lower_a) & enabled``,
+        where ``lower_a`` is the prefix OR of the rows before ``a`` in
+        the ⋖-sorted table, filtered by commutativity with the taken
+        letter.  A row outside the membrane only adds its bit to
+        ``lower``.  The step and commute-mask memos are read inline; a
+        method is called only on a miss.  The engine never expands
         violation or ⊥-covered states, so no explicit guard is repeated
         here.
         """
         q, phi, sleep, ctx_id = state
-        table = self.pipeline.edge_table(q, ctx_id)
-        edges = table.edges
-        if not edges:
-            return []
-        out: list[tuple[int, PackedState]] = []
-        step = self.step
-        if self.use_sleep:
-            enabled = table.enabled_mask
-            commute_mask = self._commute_mask
-            for a_id, bit, q2, ctx2, lower in edges:
-                if bit & sleep:
-                    continue
-                cand = (sleep | lower) & enabled
-                sleep2 = commute_mask(phi, a_id, cand) if cand else 0
-                out.append((a_id, (q2, step(phi, a_id), sleep2, ctx2)))
+        if table.expanded:
+            self.pipeline.edge_hits += 1
         else:
-            for a_id, _bit, q2, ctx2, _lower in edges:
-                out.append((a_id, (q2, step(phi, a_id), 0, ctx2)))
+            self.pipeline.first_expansion(table, q, ctx_id)
+        out: list[tuple[int, PackedState]] = []
+        rows = table.rows
+        if not rows:
+            return out
+        keep = table.keep_mask
+        step_get = self._step_memo.get
+        base = phi << self._shift
+        step_hits = mask_hits = 0
+        try:
+            if self.use_sleep:
+                enabled = table.enabled_mask
+                cmask_get = self._cmask.get
+                cbase = 0 if self._static_commute else base
+                lower = 0  # prefix OR: bits of the strictly-⋖-smaller rows
+                for _rank, a_id, bit, delta, ctx2 in rows:
+                    if not bit & keep or bit & sleep:
+                        lower |= bit
+                        continue
+                    cand = (sleep | lower) & enabled
+                    lower |= bit
+                    if cand:
+                        entry = cmask_get(cbase | a_id)
+                        if entry is not None and not cand & ~entry[0]:
+                            mask_hits += 1
+                            sleep2 = cand & entry[1]
+                        else:
+                            sleep2 = self._commute_mask(phi, a_id, cand)
+                    else:
+                        sleep2 = 0
+                    key = base | a_id
+                    phi2 = step_get(key)
+                    if phi2 is None:
+                        phi2 = self._step_miss(phi, a_id, key)
+                    else:
+                        step_hits += 1
+                    out.append((a_id, (q + delta, phi2, sleep2, ctx2)))
+            else:
+                for _rank, a_id, bit, delta, ctx2 in rows:
+                    if not bit & keep:
+                        continue
+                    key = base | a_id
+                    phi2 = step_get(key)
+                    if phi2 is None:
+                        phi2 = self._step_miss(phi, a_id, key)
+                    else:
+                        step_hits += 1
+                    out.append((a_id, (q + delta, phi2, 0, ctx2)))
+        finally:
+            self.step_hits += step_hits
+            self.commute_mask_hits += mask_hits
         return out
 
     # -- the round ----------------------------------------------------------------

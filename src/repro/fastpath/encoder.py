@@ -20,19 +20,21 @@ representation before search:
   sight (same bijection argument).
 * **threads** — each thread's CFG compiled to ``(a_id, delta)`` edge
   tuples per digit, where ``q + delta`` is the successor; plus the
-  packed all-exit state and the ``(stride, radix, digit)`` of each
-  ``assert`` observer's error location: expanding a product state and
-  flagging it as a goal read these tables and digits, never the program
-  objects or a location tuple.
-* **preference orders** — compiled to per-context rank arrays
+  packed all-exit state ``exit_q`` and each thread's error digit
+  (``error_digit``, -1 for a thread without an ``assert``): the edge
+  pipeline compiles its per-context fragments and reads a state's goal
+  flags from these tables and digits, never from the program objects
+  or a location tuple.
+* **preference orders** — compiled to per-context key arrays
   (``key_table``): one ``order.key`` evaluation per (context, letter),
   then O(1) array reads, plus a memoized ``advance`` table.
 
 The reverse direction (``letters_of``, ``q_of``, ``ctx_of``,
 ``phi_of``) is the decode boundary: commutativity and Hoare queries
 leave the integer world through it, counterexample traces re-enter
-object land only at the round's edges.  Besides ``q_of``, only the
-membrane call of an edge-table miss builds a location tuple.
+object land only at the round's edges.  ``q_of`` is the only
+location-tuple build; on the search path only the membrane call at an
+edge table's first expansion makes it.
 """
 
 from __future__ import annotations
@@ -89,9 +91,8 @@ class ProgramEncoder:
         # the program, compiled per thread: ``(a_id, delta)`` edges per
         # digit (a location without outgoing edges has an empty tuple),
         # where ``q + delta`` moves thread t from the source to the
-        # destination location; the packed all-exit state; and the
-        # ``(stride, radix, digit)`` of each ``assert`` observer's error
-        # location
+        # destination location; the packed all-exit state; and each
+        # thread's error digit (-1 unless it observes an ``assert``)
         letter_id = self.letter_id
         self.thread_edges: tuple[tuple[tuple[tuple[int, int], ...], ...], ...] = tuple(
             tuple(
@@ -106,10 +107,9 @@ class ProgramEncoder:
             )
         )
         self.exit_q: int = self.q_id(tuple(t.exit for t in threads))
-        self.error_digits: tuple[tuple[int, int, int], ...] = tuple(
-            (self.stride[i], self.radix[i], self._digit[i][t.error])
-            for i, t in enumerate(threads)
-            if t.error is not None
+        self.error_digit: tuple[int, ...] = tuple(
+            digit[t.error] if t.error is not None else -1
+            for t, digit in zip(threads, self._digit)
         )
         # interning tables: rich object -> dense id, and the decode lists
         self._ctx_ids: dict[Context, int] = {}
@@ -151,15 +151,6 @@ class ProgramEncoder:
             self._phi_ids[phi] = i
             self._phi_objs.append(phi)
         return i
-
-    def goal_flags(self, q: int) -> int:
-        """Goal flags of a packed state, read off its digits: bit 1 if an
-        observer sits at its error location, bit 2 at the all-exit state."""
-        flags = 2 if q == self.exit_q else 0
-        for stride, radix, error in self.error_digits:
-            if q // stride % radix == error:
-                return flags | 1
-        return flags
 
     # -- decoding (the id -> object boundary) ----------------------------------
 

@@ -9,15 +9,17 @@ run visits the *same* states in the *same* order as the pure engine
 modulo the (bijective) encoding: the states guard compares the two
 bit-for-bit.
 
-What is different is what a pop costs: goal-ness is a memoized read of
-the product state's digit flags plus (for exit states) a memoized
-entailment bit, coverage is one int
-compare against the interned ⊥ id, and hashing a state hashes four
-small ints instead of nested tuples and frozensets.
+What is different is what a pop costs: coverage is one int compare
+against the interned ⊥ id; an uncovered state costs one lookup in the
+``(q, ctx_id)`` table memo (compiled on a miss), which answers both the
+goal flags and, if the state is no goal, the edges it is expanded
+from; an exit state adds a memoized entailment bit; and hashing a
+state hashes four small ints instead of nested tuples and frozensets.
 
 The entry points take a *round context* ``rc`` — in practice the
-:class:`repro.fastpath.check.FastChecker` — exposing the compiled
-tables, memos, and budget/error parameters for one check round.
+:class:`repro.fastpath.check.FastChecker` — exposing the table memo
+(``tables``) and its miss (``compile_table``), ``expand``, the memos,
+and the budget/error parameters for one check round.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def run_bfs(rc, initial: PackedState):
     deadline = rc.deadline
     max_states = rc.max_states
     expand = rc.expand
-    flag = rc.flag
+    tables_get = rc.tables.get
+    compile_table = rc.compile_table
     entails = rc.entails
     bottom = rc.bottom
     perf_counter = time.perf_counter
@@ -73,17 +76,20 @@ def run_bfs(rc, initial: PackedState):
             stats.deadline_ticks += 1
             if perf_counter() > deadline:
                 raise rc.deadline_error()
-        phi = state[1]
+        q, phi, _sleep, ctx_id = state
         if phi == bottom:
             # covered: ⊥ is never a goal and contributes no successors
             continue
-        f = flag(state[0])
+        table = tables_get((q, ctx_id))
+        if table is None:
+            table = compile_table(q, ctx_id)
+        f = table.flags
         # goal = uncovered: a violation, or an exit state whose
         # assertion does not entail the postcondition
         if f and (f & 1 or not entails(phi)):
             stats.states_explored = len(seen)
             return _trace_to(parent, state), seen
-        for a_id, nxt in expand(state):
+        for a_id, nxt in expand(state, table):
             if nxt in seen:
                 continue
             seen.add(nxt)
@@ -104,7 +110,8 @@ def run_dfs(rc, initial: PackedState):
     deadline = rc.deadline
     max_states = rc.max_states
     expand = rc.expand
-    flag = rc.flag
+    tables_get = rc.tables.get
+    compile_table = rc.compile_table
     entails = rc.entails
     bottom = rc.bottom
     useless = rc.useless
@@ -148,9 +155,12 @@ def run_dfs(rc, initial: PackedState):
             raise rc.budget_error(rc.budget_message)
         if letter is not None:
             path.append(letter)
-        phi = state[1]
+        q, phi, _sleep, ctx_id = state
         if phi != bottom:
-            f = flag(state[0])
+            table = tables_get((q, ctx_id))
+            if table is None:
+                table = compile_table(q, ctx_id)
+            f = table.flags
             if f and (f & 1 or not entails(phi)):
                 stats.states_explored = len(seen)
                 return tuple(path), seen
@@ -158,7 +168,7 @@ def run_dfs(rc, initial: PackedState):
         stack.append((True, state, letter, parent))
         if phi == bottom:
             continue
-        for a_id, nxt in reversed(expand(state)):
+        for a_id, nxt in reversed(expand(state, table)):
             stack.append((False, nxt, a_id, state))
     stats.states_explored = len(seen)
     return None, seen

@@ -46,7 +46,7 @@ BASE_NODE_BUDGET = 200_000
 POLL_INTERVAL = 0.02
 
 #: unknown-fallbacks threshold after which a portfolio member degrades
-#: to syntactic commutativity (None disables degradation)
+#: to syntactic commutativity
 DEFAULT_DEGRADE_AFTER = 25
 
 
@@ -66,8 +66,7 @@ class DegradingCommutativity(ConditionalCommutativity):
     solver queries, no more give-ups.  Sound by construction — the
     syntactic relation is a subset of the conditional one — and recorded
     in :attr:`degraded` / :attr:`degraded_after_queries` so results can
-    report it.  With ``degrade_after=None`` it is exactly
-    :class:`ConditionalCommutativity`.
+    report it.
     """
 
     def __init__(
@@ -75,7 +74,7 @@ class DegradingCommutativity(ConditionalCommutativity):
         solver: Solver | None = None,
         *,
         memoize: bool = True,
-        degrade_after: int | None = DEFAULT_DEGRADE_AFTER,
+        degrade_after: int = DEFAULT_DEGRADE_AFTER,
     ) -> None:
         super().__init__(solver, memoize=memoize)
         self.degrade_after = degrade_after
@@ -86,7 +85,6 @@ class DegradingCommutativity(ConditionalCommutativity):
     def _maybe_degrade(self) -> None:
         if (
             not self.degraded
-            and self.degrade_after is not None
             and self.stats.unknown_fallbacks >= self.degrade_after
         ):
             self.degraded = True
@@ -121,7 +119,7 @@ def run_attempt(
     config: VerifierConfig,
     scale: float,
     fault_plan: MemberFaultPlan | None,
-    degrade_after: int | None,
+    degrade_after: int,
 ) -> None:
     """Child-process entry point: run one attempt, contained.
 
@@ -176,7 +174,7 @@ class Worker:
         name: str,
         scale: float,
         fault_plan: MemberFaultPlan | None,
-        degrade_after: int | None,
+        degrade_after: int,
     ) -> None:
         self.attempt = attempt
         self.conn, child_conn = CONTEXT.Pipe(duplex=False)

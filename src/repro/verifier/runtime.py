@@ -132,7 +132,7 @@ def run_parallel_portfolio(
     member_timeout: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    degrade_after: int | None = pool.DEFAULT_DEGRADE_AFTER,
+    degrade_after: int = pool.DEFAULT_DEGRADE_AFTER,
 ):
     """Run the standard portfolio with true parallel semantics.
 

@@ -179,3 +179,22 @@ def fingerprint(result):
             else None
         ),
     )
+
+
+def folded_edges(pipeline, q: int, ctx_id: int):
+    """The edges the fast expansion takes from ``(q, ctx_id)``.
+
+    Looks the table up (compiling it on a miss), installs its membrane,
+    and walks its rows as :meth:`FastChecker.expand` does: returns the
+    table and its kept edges as ``(a_id, bit, q2, ctx2_id, lower)``,
+    ``lower`` the prefix OR of every earlier row, kept or not.
+    """
+    table = pipeline.tables.get((q, ctx_id)) or pipeline.compile_table(q, ctx_id)
+    if not table.expanded:
+        pipeline.first_expansion(table, q, ctx_id)
+    edges, lower = [], 0
+    for _rank, a_id, bit, delta, ctx2 in table.rows:
+        if bit & table.keep_mask:
+            edges.append((a_id, bit, q + delta, ctx2, lower))
+        lower |= bit
+    return table, edges

@@ -16,13 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     fingerprint,
+    folded_edges,
     make_program,
     small_programs,
     straight_line_thread,
 )
-from repro.benchmarks import svcomp
-from repro.core import LockstepOrder, ThreadUniformOrder
-from repro.fastpath import ProgramEncoder
+from repro.benchmarks import bluetooth, svcomp
+from repro.core import (
+    LockstepOrder,
+    PersistentSetProvider,
+    PositionalOrder,
+    RandomOrder,
+    SyntacticCommutativity,
+    ThreadUniformOrder,
+)
+from repro.fastpath import FastPipeline, ProgramEncoder
 from repro.lang import assign, parse
 from repro.logic import intc
 from repro.verifier import ProofChecker, VerifierConfig, verify
@@ -194,19 +202,19 @@ def _assert_packed_encoding(program, limit=None):
             packed = enc.q_id(q)
             widest = max(widest, packed.bit_length())
             assert enc.q_of(packed) == q
-            assert fast.flag(packed) == (
+            table, edges = folded_edges(fast.pipeline, packed, ctx)
+            assert table.flags == (
                 program.is_violation(q) | 2 * program.is_exit(q)
             ), q
-            table = fast.pipeline.edge_table(packed, ctx)
             enabled = enc.mask_of(a for a, _ in program.successors(q))
             assert table.enabled_mask == enabled
-            # the table keeps the membrane's edges (all, without one)
+            # the expansion takes the membrane's edges (all, without one)
             membrane = fast.pipeline.membrane
             keep = membrane(q, enc.ctx_of(ctx)) if membrane else enabled
             assert enc.mask_of(
-                enc.letters[a_id] for a_id, *_ in table.edges
+                enc.letters[a_id] for a_id, *_ in edges
             ) == enabled & keep
-            for a_id, _bit, q2, _ctx2, _lower in table.edges:
+            for a_id, _bit, q2, _ctx2, _lower in edges:
                 assert enc.q_of(q2) == program.step(q, enc.letters[a_id])
             for _a, q2 in program.successors(q):
                 if q2 not in seen and (limit is None or len(seen) < limit):
@@ -231,7 +239,9 @@ def test_packed_encoding_wider_than_a_machine_word():
     assert enc.exit_q.bit_length() > 64
     exit_state = tuple(t.exit for t in program.threads)
     assert enc.q_of(enc.exit_q) == exit_state
-    assert _fast_checker(program).flag(enc.q_id(exit_state)) == 2
+    fast = _fast_checker(program)
+    ctx = fast.enc.ctx_id(ThreadUniformOrder().initial_context())
+    assert fast.compile_table(enc.q_id(exit_state), ctx).flags == 2
 
 
 @pytest.mark.parametrize(
@@ -246,7 +256,6 @@ def test_packed_encoding_wider_than_a_machine_word():
 def test_persistent_mask_uses_the_encoder_letter_ids(make_program_, order):
     """Algorithm 1's mask and its statement set agree bit for bit under the
     encoder's letter ids, on every (state, context) pair reached."""
-    from repro.core import PersistentSetProvider, SyntacticCommutativity
 
     program = make_program_()
     enc = ProgramEncoder(program, order)
@@ -355,7 +364,6 @@ def test_all_observer_program_fast_matches_pure(correct):
 def test_positional_order_fast_matches_pure():
     """Lockstep advances the context on every letter, so the edge tables
     and membranes are keyed by more than one context."""
-    from repro.benchmarks import bluetooth
 
     program = bluetooth(3)
     pure, fast = _both_engines(program, LockstepOrder(len(program.threads)))
@@ -373,25 +381,121 @@ post: x == 2;
 
 def test_goal_flags_cover_violation_and_exit(monkeypatch):
     """An exploration that meets both a violation and an all-exit state:
-    the compiled goal flags agree with the program's predicates on
-    every product state, and the fast engine matches pure."""
-    from repro.fastpath import FastChecker
+    the goal flags compiled into each edge table agree with the
+    program's predicates on every product state, and the fast engine
+    matches pure."""
 
     program = parse(_BOTH_GOALS)
     seen = set()
-    flag = FastChecker.flag
+    compile_table = FastPipeline.compile_table
 
-    def recording_flag(self, q_id):
-        answer = flag(self, q_id)
+    def recording_compile(self, q_id, ctx_id):
+        table = compile_table(self, q_id, ctx_id)
         q = self.enc.q_of(q_id)
-        assert answer == (
+        assert table.flags == (
             program.is_violation(q) | (2 if program.is_exit(q) else 0)
         )
-        seen.add(answer)
-        return answer
+        seen.add(table.flags)
+        return table
 
-    monkeypatch.setattr(FastChecker, "flag", recording_flag)
+    monkeypatch.setattr(FastPipeline, "compile_table", recording_compile)
     pure, fast = _both_engines(program)
     assert pure.verdict.value == "incorrect"
     assert fingerprint(fast) == fingerprint(pure)
     assert {1, 2} <= seen
+
+
+# -- compiled tables against the key-sorted reference, per shipped order ------
+
+
+def _interleaving_order():
+    """A positional order whose ranks interleave the threads: the
+    context counts steps mod 3 and rotates the letters' uid residues."""
+    return PositionalOrder(
+        0,
+        lambda ctx, a: (ctx + 1) % 3,
+        lambda ctx, a: ((a.uid + ctx) % 3, a.uid),
+        name="interleave",
+    )
+
+
+_TABLE_ORDERS = {
+    "seq": lambda program: ThreadUniformOrder(),
+    "seq-reversed": lambda program: ThreadUniformOrder(
+        list(reversed(range(len(program.threads))))
+    ),
+    "lockstep": lambda program: LockstepOrder(len(program.threads)),
+    "rand(3)": lambda program: RandomOrder(program.alphabet(), 3),
+    "interleave": lambda program: _interleaving_order(),
+}
+
+#: which path each order's contexts take: thread-major contexts
+#: concatenate their fragments, the others sort by rank
+_THREAD_MAJOR = {
+    "seq": {True},
+    "seq-reversed": {False},
+    "lockstep": {True, False},
+    "rand(3)": {False},
+    "interleave": {False},
+}
+
+
+@pytest.mark.parametrize(
+    "make_program_", [lambda: bluetooth(3), lambda: parse(_BOTH_GOALS)],
+    ids=["bluetooth(3)", "both-goals"],
+)
+@pytest.mark.parametrize("order_name", sorted(_TABLE_ORDERS))
+def test_compiled_tables_match_the_key_sorted_reference(order_name, make_program_):
+    """Every reached table lists the program's successors stably sorted
+    by ``order.key``, and its expansion keeps the membrane's edges with
+    the reference's lower masks, enabled mask and goal flags."""
+    program = make_program_()
+    order = _TABLE_ORDERS[order_name](program)
+    enc = ProgramEncoder(program, order)
+    provider = PersistentSetProvider(program, order, SyntacticCommutativity())
+    membrane = provider.persistent_mask if provider.prunes else None
+    pipeline = FastPipeline(enc, membrane)
+    letter_id = enc.letter_id
+    start = (program.initial_state(), order.initial_context())
+    seen, frontier, majors = {start}, [start], set()
+    while frontier and len(seen) < 1500:
+        q, ctx = frontier.pop()
+        q_id, ctx_id = enc.q_id(q), enc.ctx_id(ctx)
+        succ = sorted(program.successors(q), key=lambda e: order.key(ctx, e[0]))
+        full = [
+            (letter_id[a], enc.q_id(q2), enc.ctx_id(order.advance(ctx, a)))
+            for a, q2 in succ
+        ]
+        keep = membrane(q, ctx) if membrane is not None else -1
+        kept, lower = [], 0
+        for a_id, q2_id, ctx2_id in full:
+            bit = 1 << a_id
+            if bit & keep:
+                kept.append((a_id, bit, q2_id, ctx2_id, lower))
+            lower |= bit
+        table, edges = folded_edges(pipeline, q_id, ctx_id)
+        assert [(a, q_id + delta, c) for _r, a, _b, delta, c in table.rows] == full
+        assert edges == kept, (q, ctx)
+        assert table.enabled_mask == lower
+        assert table.keep_mask == keep
+        assert table.flags == program.is_violation(q) | 2 * program.is_exit(q)
+        majors.add(pipeline.fragments(ctx_id)[1])
+        for a, q2 in succ:
+            nxt = (q2, order.advance(ctx, a))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    assert majors == _THREAD_MAJOR[order_name]
+
+
+@pytest.mark.parametrize(
+    "make_program_",
+    [lambda: svcomp.mutex_atomic(8), lambda: bluetooth(4, correct=False)],
+    ids=["mutex-atomic(8)", "bluetooth(4)-bug"],
+)
+def test_default_seq_context_is_thread_major(make_program_):
+    """The default order's one context is thread-major, so a default
+    run builds every table by concatenation, with no sort."""
+    fast = _fast_checker(make_program_())
+    ctx_id = fast.enc.ctx_id(ThreadUniformOrder().initial_context())
+    assert fast.pipeline.fragments(ctx_id)[1] is True
