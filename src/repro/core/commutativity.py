@@ -104,15 +104,23 @@ def _pair_store_key(a: Statement, b: Statement, context: Term | None = None):
     return pair_digest(term_digest(context), da, db)
 
 
+#: (uid, uid) in uid order -> condition: one probe for a repeated pair
 _condition_cache: dict[tuple[int, int], Term] = {}
+#: (content id, content id) of the same pair, still in uid order ->
+#: condition: thread copies of one letter pair share one build
+_content_condition_cache: dict[tuple[int, int], Term] = {}
 
 
 def composition_equal_condition(a: Statement, b: Statement) -> Term:
     """A formula valid iff ``a;b`` and ``b;a`` have the same semantics.
 
-    Both statements must be deterministic (no choices).  Cached per
-    (unordered) pair — the condition is symmetric and these formulas are
-    the hot spot of proof-sensitive checks.
+    Both statements must be deterministic (no choices).  The formula
+    is built for the pair in uid order: it is valid for either order,
+    but its terms are not symmetric.  It is memoized per uid pair and,
+    behind that, per *ordered* pair of content ids, so thread copies of
+    one letter pair share one build; a memoized condition is the very
+    node a fresh build interns.  These formulas are the hot spot of
+    proof-sensitive checks.
     """
     key = (a.uid, b.uid) if a.uid < b.uid else (b.uid, a.uid)
     cached = _condition_cache.get(key)
@@ -120,15 +128,19 @@ def composition_equal_condition(a: Statement, b: Statement) -> Term:
         return cached
     if key != (a.uid, b.uid):
         a, b = b, a
-    ab = a.compose(b)
-    ba = b.compose(a)
-    parts = [iff(ab.guard, ba.guard)]
-    touched = set(ab.updates) | set(ba.updates)
-    for name in sorted(touched):
-        lhs = ab.updates.get(name, var(name))
-        rhs = ba.updates.get(name, var(name))
-        parts.append(implies(ab.guard, eq(lhs, rhs)))
-    condition = and_(*parts)
+    content = (a.content_id, b.content_id)
+    condition = _content_condition_cache.get(content)
+    if condition is None:
+        ab = a.compose(b)
+        ba = b.compose(a)
+        parts = [iff(ab.guard, ba.guard)]
+        touched = set(ab.updates) | set(ba.updates)
+        for name in sorted(touched):
+            lhs = ab.updates.get(name, var(name))
+            rhs = ba.updates.get(name, var(name))
+            parts.append(implies(ab.guard, eq(lhs, rhs)))
+        condition = and_(*parts)
+        _content_condition_cache[content] = condition
     _condition_cache[key] = condition
     return condition
 

@@ -19,17 +19,18 @@ the compiled counterpart of that stack:
   table of the concatenated rows (sorted only off the thread-major
   path), the enabled mask, the goal flags and the membrane mask;
 * :mod:`~repro.fastpath.engine` — the integer worklist engine: BFS/DFS
-  over packed ``(q, φ, S, ctx)`` int tuples with the same budget,
-  deadline-tick, and grey-cut-taint semantics as the pure engine, one
-  table lookup per popped state for its goal flags and its edges;
+  over packed ``(q, φ, S, ctx)`` int tuples with the same budget and
+  grey-cut-taint semantics as the pure engine, one table lookup per
+  popped state for its goal flags and its edges (the BFS never queues
+  a ⊥ successor, so its deadline ticks count non-⊥ pops);
 * :mod:`~repro.fastpath.check` — the glue that runs one proof-check
   round on the fast engine for :class:`~repro.verifier.checkproof.
   ProofChecker`, owning the id↔object decode boundary (commutativity
   and Hoare queries are decoded and answered by the *same* caches as
   the pure path, counterexamples are decoded back to statements).
 
-The encoding is a bijection and the fast loops replicate the pure
-loops' visit order exactly, so verdicts, rounds, proofs,
+The encoding is a bijection and the fast loops discover states in the
+pure loops' order exactly, so verdicts, rounds, proofs,
 counterexamples, and per-round state counts are bit-identical.  This is
 the only production engine, for alphabets of any width; the pure stack
 stays intact as the reference implementation, selected with

@@ -2,12 +2,16 @@
 
 A mirror of :class:`repro.automata.engine.WorklistEngine`, specialized
 to proof-check states packed as ``(q, φ_id, S_mask, ctx_id)`` int
-tuples.  The loop structure — FIFO/stack order, seen-set dedup, budget
-check per discovery, tick-batched deadline reads, the DFS grey-cut
-taint rule — replicates the pure engine statement for statement, so a
-run visits the *same* states in the *same* order as the pure engine
-modulo the (bijective) encoding: the states guard compares the two
-bit-for-bit.
+tuples.  Both searches discover the *same* states in the *same* order
+as the pure engine modulo the (bijective) encoding, with the same dedup
+and per-discovery budget check, so seen-set sizes, per-round
+``states_explored`` and counterexample traces are equal: the states
+guard compares the two bit-for-bit.  DFS replicates the pure loop
+statement for statement, tick-batched deadline reads and grey-cut taint
+included; its taint and useless-state marking see ⊥ states.  BFS makes
+a ⊥ successor a counted leaf: it enters the seen map unlinked and is
+never queued, where the pure engine pops it as covered, so the fast
+BFS's deadline ticks count only non-⊥ pops.
 
 What is different is what a pop costs: coverage is one int compare
 against the interned ⊥ id; an uncovered state costs one lookup in the
@@ -52,7 +56,10 @@ def run_bfs(rc, initial: PackedState):
 
     Returns ``(trace_ids | None, seen)`` where ``trace_ids`` is the
     letter-id path to the first uncovered state (decoded by the caller)
-    and ``seen`` the packed seen set.
+    and ``seen`` maps every discovered state to its ``(parent, a_id)``
+    link.  A successor whose assertion is ⊥ is a counted leaf: it enters
+    ``seen`` (and the budget) with no link and is never queued, since ⊥
+    is never a goal and has no successors.
     """
     stats = rc.stats
     tick_interval = rc.tick_interval
@@ -65,8 +72,7 @@ def run_bfs(rc, initial: PackedState):
     bottom = rc.bottom
     perf_counter = time.perf_counter
 
-    seen: set[PackedState] = {initial}
-    parent: dict[PackedState, tuple[PackedState, int]] = {}
+    seen: dict[PackedState, tuple[PackedState, int] | None] = {initial: None}
     queue: deque[PackedState] = deque([initial])
     ticks = 0
     while queue:
@@ -78,7 +84,7 @@ def run_bfs(rc, initial: PackedState):
                 raise rc.deadline_error()
         q, phi, _sleep, ctx_id = state
         if phi == bottom:
-            # covered: ⊥ is never a goal and contributes no successors
+            # only the initial state is queued at ⊥: covered, no successors
             continue
         table = tables_get((q, ctx_id))
         if table is None:
@@ -88,15 +94,17 @@ def run_bfs(rc, initial: PackedState):
         # assertion does not entail the postcondition
         if f and (f & 1 or not entails(phi)):
             stats.states_explored = len(seen)
-            return _trace_to(parent, state), seen
+            return _trace_to(seen, state), seen
         for a_id, nxt in expand(state, table):
             if nxt in seen:
                 continue
-            seen.add(nxt)
+            if nxt[1] == bottom:
+                seen[nxt] = None
+            else:
+                seen[nxt] = (state, a_id)
+                queue.append(nxt)
             if max_states is not None and len(seen) > max_states:
                 raise rc.budget_error(rc.budget_message)
-            parent[nxt] = (state, a_id)
-            queue.append(nxt)
     stats.states_explored = len(seen)
     return None, seen
 
@@ -175,12 +183,14 @@ def run_dfs(rc, initial: PackedState):
 
 
 def _trace_to(
-    parent: dict[PackedState, tuple[PackedState, int]], state: PackedState
+    seen: dict[PackedState, tuple[PackedState, int] | None], state: PackedState
 ) -> tuple[int, ...]:
     """Letter-id path from the initial state to *state*."""
     trace: list[int] = []
-    while state in parent:
-        state, letter = parent[state]
+    link = seen[state]
+    while link is not None:
+        state, letter = link
         trace.append(letter)
+        link = seen[state]
     trace.reverse()
     return tuple(trace)

@@ -16,7 +16,11 @@ their equivalence is a solver query (:mod:`repro.core.commutativity`).
 
 Letters use identity-based equality: two syntactically identical
 statements on different control-flow edges are different letters, which
-realizes the paper's assumption Σᵢ ∩ Σⱼ = ∅ (§3) for free.
+realizes the paper's assumption Σᵢ ∩ Σⱼ = ∅ (§3) for free.  What they
+share is a :attr:`Statement.content_id`: letters with the same id have
+the same transition relation (thread copies of one statement, say), so
+memos of relation-only facts — weakest preconditions, commutativity
+conditions — are keyed by it and computed once per distinct content.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ from ..logic.terms import AVar, Store
 
 _uid_counter = itertools.count()
 
+#: letter content ``(guard nid, sorted (target, rhs nid) pairs,
+#: choices)`` -> dense id; process-wide and append-only.  Nids are never
+#: reused, so one id never names two transition relations.
+_content_ids: dict[tuple, int] = {}
+
 
 class Statement:
     """One alphabet letter: ``assume guard; targets := values``.
@@ -54,11 +63,15 @@ class Statement:
             variables (fresh, disjoint from program variables).
         label: human-readable name for display and debugging.
         uid: globally unique integer; gives a stable default ordering.
+        content_id: dense integer shared exactly by the letters with
+            the same guard, updates and choices, whatever their thread
+            and label (havoc copies differ: their choices are named per
+            letter).
     """
 
     __slots__ = (
         "thread", "guard", "updates", "choices", "label", "uid",
-        "_read_vars", "_written_vars",
+        "content_id", "_read_vars", "_written_vars",
     )
 
     def __init__(
@@ -85,6 +98,12 @@ class Statement:
         for rhs in self.updates.values():
             names |= rhs.free_vars
         self._read_vars = frozenset(names) - set(self.choices)
+        content = (
+            guard.nid,
+            tuple(sorted((t, rhs.nid) for t, rhs in self.updates.items())),
+            self.choices,
+        )
+        self.content_id = _content_ids.setdefault(content, len(_content_ids))
 
     # identity equality and hashing (letters are nominal)
     def __repr__(self) -> str:

@@ -108,6 +108,8 @@ class FloydHoareAutomaton:
         # (context.nid, letter.uid, pred_index): identity-keyed — a hit
         # never pays a structural compare, and the memo pins no terms
         self._triple_cache: dict[tuple[int, int, int], bool] = {}
+        # (letter.content_id, pred_index): wp depends only on the
+        # letter's transition relation, so thread copies share entries
         self._wp_cache: dict[tuple[int, int], Term] = {}
         self._assertion_cache: dict[FhState, Term] = {}
         self._step_cache: dict[tuple[FhState, int], _StepEntry] = {}
@@ -266,10 +268,11 @@ class FloydHoareAutomaton:
         (exact for satisfiable assertions; see repro.logic.relevance),
         which keeps the solver queries small and cache-friendly.
         """
-        wp = self._wp_cache.get((letter.uid, pred_index))
+        wp_key = (letter.content_id, pred_index)
+        wp = self._wp_cache.get(wp_key)
         if wp is None:
             wp = letter.wp(self._predicates[pred_index])
-            self._wp_cache[(letter.uid, pred_index)] = wp
+            self._wp_cache[wp_key] = wp
         context = relevant_context(phi, wp.free_vars)
         key = (context.nid, letter.uid, pred_index)
         cached = self._triple_cache.get(key)

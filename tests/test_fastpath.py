@@ -30,10 +30,11 @@ from repro.core import (
     SyntacticCommutativity,
     ThreadUniformOrder,
 )
+import repro.fastpath.check as fast_check
 from repro.fastpath import FastPipeline, ProgramEncoder
 from repro.lang import assign, parse
 from repro.logic import intc
-from repro.verifier import ProofChecker, VerifierConfig, verify
+from repro.verifier import ProofChecker, Verdict, VerifierConfig, verify
 
 
 def _both_engines(program, order=None, **config_kwargs):
@@ -499,3 +500,75 @@ def test_default_seq_context_is_thread_major(make_program_):
     fast = _fast_checker(make_program_())
     ctx_id = fast.enc.ctx_id(ThreadUniformOrder().initial_context())
     assert fast.pipeline.fragments(ctx_id)[1] is True
+
+
+# -- ⊥ successors are counted leaves of the fast BFS ---------------------------
+
+
+def _record_bfs_rounds(monkeypatch):
+    """Wrap the fast BFS: per finished round, its seen map and ⊥ id."""
+    rounds = []
+    run_bfs = fast_check.run_bfs
+
+    def recording(rc, initial):
+        trace_ids, seen = run_bfs(rc, initial)
+        rounds.append((seen, rc.bottom))
+        return trace_ids, seen
+
+    monkeypatch.setattr(fast_check, "run_bfs", recording)
+    return rounds
+
+
+def test_bottom_initial_state_is_covered():
+    program = parse(
+        "var x: int = 0; pre: false;"
+        " thread A { x := x + 1; assert x == 5; } post: x == 7;"
+    )
+    pure, fast = _both_engines(program)
+    for result in (pure, fast):
+        assert result.verdict is Verdict.CORRECT
+        assert result.states_explored == 1
+    assert fingerprint(fast) == fingerprint(pure)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_bottom_leaves_count_against_the_state_budget(correct, monkeypatch):
+    # the first round's vocabulary is empty, so its φ is never ⊥: the
+    # sweep runs up to the largest round, where ⊥ leaves are discovered
+    program = svcomp.mutex_atomic(3, correct=correct)
+    rounds = _record_bfs_rounds(monkeypatch)
+    full = verify(program, config=VerifierConfig(engine="fast"))
+    leaves = [sum(1 for s in seen if s[1] == bottom) for seen, bottom in rounds]
+    assert leaves[0] == 0 and sum(leaves) > 0
+    for seen, bottom in rounds:
+        # a ⊥ state is a leaf with no link; every other state but the
+        # initial one links to an expanded (non-⊥) parent
+        initial = next(iter(seen))
+        for state, link in seen.items():
+            assert (link is None) == (state[1] == bottom or state == initial)
+            if link is not None:
+                assert link[0] in seen and link[0][1] != bottom
+    top = max(r.states_explored for r in full.round_stats)
+    for budget in range(1, top + 1):
+        pure, fast = _both_engines(program, max_states_per_round=budget)
+        assert fingerprint(fast) == fingerprint(pure), budget
+        assert (fast.verdict is Verdict.UNKNOWN) == (budget < top), budget
+    assert fingerprint(fast) == fingerprint(full)
+
+
+@pytest.mark.parametrize(
+    "make_program_",
+    [
+        lambda: svcomp.mutex_atomic(4, correct=False),
+        lambda: svcomp.counter_sum(5, correct=False),
+    ],
+)
+def test_bottom_leaves_keep_rounds_and_counterexample(make_program_):
+    pure, fast = _both_engines(make_program_())
+    assert fast.verdict is Verdict.INCORRECT
+    assert [r.states_explored for r in fast.round_stats] == [
+        r.states_explored for r in pure.round_stats
+    ]
+    assert fast.proof_size == pure.proof_size
+    assert fast.counterexample == pure.counterexample
+    assert fingerprint(fast) == fingerprint(pure)
