@@ -209,6 +209,13 @@ def _parse_fault_plan(spec: str | None):
 
 
 def _cmd_portfolio(args: argparse.Namespace) -> int:
+    if args.member_timeout is not None and not args.parallel_portfolio:
+        print(
+            "portfolio: --member-timeout needs --parallel-portfolio "
+            "(the sequential race has no worker to kill)",
+            file=sys.stderr,
+        )
+        return 1
     program = _read_program(args.file)
     config = VerifierConfig(
         max_rounds=args.max_rounds,
@@ -216,23 +223,13 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         incremental=not args.no_incremental,
         store_path=_store_path(args),
     )
-    if args.parallel_portfolio:
-        from .verifier import RetryPolicy
-
-        outcome = verify_portfolio(
-            program,
-            config=config,
-            strategy="parallel",
-            member_timeout=args.member_timeout,
-            retry=RetryPolicy(max_attempts=1 + args.max_retries),
-            fault_plan=_parse_fault_plan(args.inject_faults),
-        )
-    else:
-        outcome = verify_portfolio(
-            program,
-            config=config,
-            fault_plan=_parse_fault_plan(args.inject_faults),
-        )
+    outcome = verify_portfolio(
+        program,
+        config=config,
+        strategy="parallel" if args.parallel_portfolio else "sequential",
+        member_timeout=args.member_timeout,
+        fault_plan=_parse_fault_plan(args.inject_faults),
+    )
     for member in outcome.members:
         print(f"  {member.summary()}")
     aggregated = outcome.aggregate()
@@ -426,12 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_portfolio.add_argument(
         "--member-timeout", type=float, default=None, metavar="SECONDS",
         help="hard per-member wall-clock watchdog; overrunning workers "
-             "are SIGKILLed and recorded as TIMEOUT",
-    )
-    p_portfolio.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="respawn UNKNOWN/TIMEOUT/ERROR members up to N times with "
-             "doubled solver budgets and deadlines",
+             "are SIGKILLed and recorded as TIMEOUT (needs "
+             "--parallel-portfolio)",
     )
     p_portfolio.set_defaults(func=_cmd_portfolio)
 

@@ -12,7 +12,9 @@ Environment knobs:
   threads in Figure 1c) at the cost of a longer wall-clock;
 * ``REPRO_PARALLEL=1`` — run the portfolio tool through the parallel
   worker-process runtime (crash containment + watchdog) instead of the
-  sequential emulation;
+  sequential emulation.  Either way a solved member is cached under its
+  order's tool name, and it is exactly that order's ``verify()``: both
+  races build members with ``verify_member``;
 * ``REPRO_FAULTS``  — deterministic fault-injection spec (see
   repro.verifier.faults), applied to every verification run;
 * ``REPRO_PROOF_STORE`` — directory of a persistent content-addressed
@@ -33,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .benchmarks import Benchmark, all_benchmarks
-from .core.commutativity import ConditionalCommutativity, SyntacticCommutativity
+from .core.commutativity import SyntacticCommutativity
 from .core.preference import (
     LockstepOrder,
     PreferenceOrder,
@@ -41,13 +43,13 @@ from .core.preference import (
     ThreadUniformOrder,
 )
 from .lang.program import ConcurrentProgram
-from .logic import Solver
 from .verifier import (
     QueryStats,
     Verdict,
     VerificationResult,
     VerifierConfig,
     verify,
+    verify_member,
     verify_portfolio,
 )
 
@@ -129,35 +131,19 @@ def run_tool(program: ConcurrentProgram, tool: str) -> VerificationResult:
         )
         # cache the members under their own tool names so the
         # order-comparison experiments (Fig 8, Table 2) reuse these runs
-        # (solved runs only — an UNKNOWN/ERROR member must stay retryable)
+        # (solved runs only — an UNKNOWN/ERROR member runs again when asked)
         for member in outcome.members:
             if member.verdict.solved:
                 _cache.setdefault((program.name, member.order_name), member)
         return outcome.aggregate()
     if tool == "portfolio-nops":
         return verify_portfolio(
-            program,
-            config=_config(proof_sensitive=False),
-            commutativity_factory=lambda solver: ConditionalCommutativity(solver),
+            program, config=_config(proof_sensitive=False)
         ).aggregate()
     if tool in ("sleep", "persistent"):
-        solver = Solver()
-        return verify(
-            program,
-            ThreadUniformOrder(),
-            ConditionalCommutativity(solver),
-            config=_config(mode=tool),
-            solver=solver,
-        )
-    # single preference order, combined reduction
-    solver = Solver()
-    return verify(
-        program,
-        _order_for(program, tool),
-        ConditionalCommutativity(solver),
-        config=_config(),
-        solver=solver,
-    )
+        return verify_member(program, ThreadUniformOrder(), _config(mode=tool))
+    # single preference order, combined reduction: the portfolio member
+    return verify_member(program, _order_for(program, tool), _config())
 
 
 _cache: dict[tuple[str, str], VerificationResult] = {}
@@ -176,9 +162,10 @@ def _log_progress(message: str) -> None:
 def run_cached(bench: Benchmark, tool: str) -> VerificationResult:
     """Memoized run — shared across all benchmark files in one session.
 
-    Only solved verdicts are memoized: caching an ERROR/UNKNOWN/TIMEOUT
-    would pin the failure for the whole session and defeat any retry
-    with a bigger budget or after a transient fault.
+    Only solved verdicts are memoized: an ERROR/UNKNOWN/TIMEOUT can be
+    transient (a watchdog kill on a loaded machine, a contained crash),
+    so a later call runs the configuration again instead of reporting
+    one failure for the whole session.
     """
     key = (bench.name, tool)
     hit = _cache.get(key)
@@ -303,10 +290,6 @@ def result_row(result: VerificationResult) -> dict:
     }
     if result.failure_reason:
         row["failure_reason"] = result.failure_reason
-    if result.attempts > 1:
-        row["attempts"] = result.attempts
-    if result.degraded:
-        row["degraded"] = True
     qs = result.query_stats
     if qs is not None:
         row["solver_queries"] = qs.solver_sat_queries

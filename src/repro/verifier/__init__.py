@@ -26,6 +26,7 @@ from .portfolio import (
     DEFAULT_RANDOM_SEEDS,
     PortfolioResult,
     standard_orders,
+    verify_member,
     verify_portfolio,
 )
 from .refinement import VerifierConfig, verify
@@ -61,6 +62,7 @@ __all__ = [
     "DEFAULT_RANDOM_SEEDS",
     "PortfolioResult",
     "standard_orders",
+    "verify_member",
     "verify_portfolio",
     "VerifierConfig",
     "verify",
@@ -79,16 +81,12 @@ __all__ = [
     # loaded on first use (see _LAZY)
     "certify",
     "certify_unreduced",
-    "DegradingCommutativity",
-    "RetryPolicy",
     "run_parallel_portfolio",
 ]
 
 _LAZY = {
     "certify": ".certify",
     "certify_unreduced": ".certify",
-    "DegradingCommutativity": ".pool",
-    "RetryPolicy": ".runtime",
     "run_parallel_portfolio": ".runtime",
 }
 

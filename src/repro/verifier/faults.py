@@ -260,9 +260,9 @@ def attach_env_faults(solver, member: str) -> FaultInjector | None:
     """Wire ``REPRO_FAULTS`` onto *solver* unless one is already attached.
 
     Called from ``verify()`` so fault injection reaches every entry point
-    (CLI, harness, benchmarks) without each caller knowing about it; the
-    parallel runtime attaches member plans explicitly, which this
-    respects.
+    (CLI, harness, benchmarks) without each caller knowing about it; a
+    portfolio member given an explicit plan already carries its
+    injector, which this respects.
     """
     if getattr(solver, "fault_injector", None) is not None:
         return solver.fault_injector

@@ -1,14 +1,16 @@
-"""One contained verification attempt in a forked worker process.
+"""One contained member run in a forked worker process.
 
-The parallel portfolio (:mod:`repro.verifier.runtime`) runs each attempt
-of ``verify()`` in its own process, so an OOM, a recursion blowup, a
-hard ``os._exit`` or a watchdog SIGKILL costs one attempt and never the
-caller.  This module is that boundary: the child entry, the poll
-cadence, the base solver budgets, and the parent-side :class:`Worker`
-handle.  The runtime keeps its policies (retries, watchdog deadlines,
-winner cancellation).
+The parallel portfolio (:mod:`repro.verifier.runtime`) runs each
+member's ``verify()`` in its own process, so an OOM, a recursion
+blowup, a hard ``os._exit`` or a watchdog SIGKILL costs one member and
+never the caller.  This module is that boundary: the child entry, the
+poll cadence, and the parent-side :class:`Worker` handle.  The runtime
+keeps its policies (watchdog deadlines, winner cancellation).
 
-The child sends the parent exactly one message over a one-way pipe:
+The child runs :func:`repro.verifier.portfolio.verify_member`, the code
+the sequential race runs too, so a member that finishes is exactly a
+direct ``verify()`` of its order.  It sends the parent exactly one
+message over a one-way pipe:
 
 * ``("result", VerificationResult)`` — the verdict (terms re-intern in
   the parent through ``Term.__reduce__``);
@@ -16,38 +18,23 @@ The child sends the parent exactly one message over a one-way pipe:
   included.
 
 A pipe that closes (or a process that exits) without that message is a
-hard death, which the parent reports as
-``worker died (exit code N, attempt K)``.
+hard death, which the parent reports as ``worker died (exit code N)``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from multiprocessing import connection as mp_connection
 
-from ..core.commutativity import (
-    ConditionalCommutativity,
-    SyntacticCommutativity,
-)
 from ..core.preference import PreferenceOrder
 from ..lang.program import ConcurrentProgram
-from ..logic import Solver
-from .faults import ENV_VAR, FaultInjector, MemberFaultPlan
-from .refinement import VerifierConfig, verify
-
-#: mirrors of Solver.__init__'s defaults — the base the retry policy's
-#: budget escalation multiplies
-BASE_BRANCH_BUDGET = 400
-BASE_NODE_BUDGET = 200_000
+from .faults import FaultPlan
+from .portfolio import verify_member
+from .refinement import VerifierConfig
 
 #: how long a parent waits on its workers' pipes between checks
 POLL_INTERVAL = 0.02
-
-#: unknown-fallbacks threshold after which a portfolio member degrades
-#: to syntactic commutativity
-DEFAULT_DEGRADE_AFTER = 25
 
 
 # prefer fork (no pickling of the program, cheap spawn); fall back to
@@ -58,90 +45,22 @@ except ValueError:  # pragma: no cover - non-POSIX platforms
     CONTEXT = multiprocessing.get_context()
 
 
-class DegradingCommutativity(ConditionalCommutativity):
-    """Conditional commutativity with a syntactic-only fallback mode.
-
-    Once ``stats.unknown_fallbacks`` reaches *degrade_after*, every
-    further question is answered by the syntactic check alone: no more
-    solver queries, no more give-ups.  Sound by construction — the
-    syntactic relation is a subset of the conditional one — and recorded
-    in :attr:`degraded` / :attr:`degraded_after_queries` so results can
-    report it.
-    """
-
-    def __init__(
-        self,
-        solver: Solver | None = None,
-        *,
-        memoize: bool = True,
-        degrade_after: int = DEFAULT_DEGRADE_AFTER,
-    ) -> None:
-        super().__init__(solver, memoize=memoize)
-        self.degrade_after = degrade_after
-        self.degraded = False
-        self.degraded_after_queries: int | None = None
-        self._syntactic_fallback = SyntacticCommutativity()
-
-    def _maybe_degrade(self) -> None:
-        if (
-            not self.degraded
-            and self.stats.unknown_fallbacks >= self.degrade_after
-        ):
-            self.degraded = True
-            self.degraded_after_queries = self.stats.queries
-
-    def _degraded_answer(self, a, b) -> bool:
-        self.stats.queries += 1
-        if self._syntactic_fallback.commute(a, b):
-            self.stats.syntactic_hits += 1
-            return True
-        return False
-
-    def commute(self, a, b) -> bool:
-        if self.degraded:
-            return self._degraded_answer(a, b)
-        result = super().commute(a, b)
-        self._maybe_degrade()
-        return result
-
-    def commute_under(self, phi, a, b) -> bool:
-        if self.degraded:
-            return self._degraded_answer(a, b)
-        result = super().commute_under(phi, a, b)
-        self._maybe_degrade()
-        return result
-
-
-def run_attempt(
+def run_worker(
     conn,
     program: ConcurrentProgram,
     order: PreferenceOrder,
     config: VerifierConfig,
-    scale: float,
-    fault_plan: MemberFaultPlan | None,
-    degrade_after: int,
+    fault_plan: FaultPlan | None,
 ) -> None:
-    """Child-process entry point: run one attempt, contained.
+    """Child-process entry point: run one member, contained.
 
     Everything short of a hard process death ends as exactly one
     message on *conn*.
     """
-    # the parent resolved fault plans already; don't let the env var
-    # re-attach a second injector inside verify()
-    os.environ.pop(ENV_VAR, None)
     try:
-        solver = Solver(
-            branch_budget=int(BASE_BRANCH_BUDGET * scale),
-            node_budget=int(BASE_NODE_BUDGET * scale),
-        )
-        if fault_plan is not None and fault_plan.active:
-            solver.fault_injector = FaultInjector(fault_plan)
-        commutativity = DegradingCommutativity(
-            solver, degrade_after=degrade_after
-        )
         final = (
             "result",
-            verify(program, order, commutativity, config=config, solver=solver),
+            verify_member(program, order, config, fault_plan=fault_plan),
         )
     except BaseException as exc:  # noqa: BLE001 - crash containment
         final = ("crash", f"{type(exc).__name__}: {exc}")
@@ -157,7 +76,7 @@ def run_attempt(
 
 
 class Worker:
-    """Parent-side handle of one forked attempt.
+    """Parent-side handle of one forked member.
 
     Construction forks the child.  :meth:`events` reads what it has
     said, :func:`wait` blocks until some worker has something to say,
@@ -170,20 +89,13 @@ class Worker:
         order: PreferenceOrder,
         config: VerifierConfig,
         *,
-        attempt: int,
         name: str,
-        scale: float,
-        fault_plan: MemberFaultPlan | None,
-        degrade_after: int,
+        fault_plan: FaultPlan | None,
     ) -> None:
-        self.attempt = attempt
         self.conn, child_conn = CONTEXT.Pipe(duplex=False)
         self.proc = CONTEXT.Process(
-            target=run_attempt,
-            args=(
-                child_conn, program, order, config, scale, fault_plan,
-                degrade_after,
-            ),
+            target=run_worker,
+            args=(child_conn, program, order, config, fault_plan),
             name=name,
             daemon=True,
         )
@@ -210,17 +122,14 @@ class Worker:
                 yield "died", self._death()
                 return
             if kind == "crash":
-                payload = f"worker crashed: {payload} (attempt {self.attempt})"
+                payload = f"worker crashed: {payload}"
             yield kind, payload
         elif not self.proc.is_alive() and not self.conn.poll():
             yield "died", self._death()
 
     def _death(self) -> str:
         self.proc.join(timeout=1.0)
-        return (
-            f"worker died (exit code {self.proc.exitcode}, "
-            f"attempt {self.attempt})"
-        )
+        return f"worker died (exit code {self.proc.exitcode})"
 
     def kill(self) -> None:
         """SIGKILL the child if it still runs, reap it, close the pipe."""

@@ -19,19 +19,20 @@ terminates.  Two strategies implement this:
   final rung is the full budget), so each completed member's result is
   bit-identical to a direct ``verify()`` of its order.
 * ``strategy="parallel"``: the paper's plain race — all five members in
-  isolated worker processes at once, hard watchdog deadlines,
-  first-winner cancellation, retries.  See :mod:`repro.verifier.runtime`.
+  isolated worker processes at once, each run once at the full budget,
+  with hard watchdog deadlines and first-winner cancellation.  See
+  :mod:`repro.verifier.runtime`.
+
+Both races build a member with :func:`verify_member`, so a member that
+finishes is the same run in either race.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .runtime import RetryPolicy
-
-from ..core.commutativity import CommutativityRelation, ConditionalCommutativity
+from ..core.commutativity import ConditionalCommutativity
 from ..core.preference import (
     LockstepOrder,
     PreferenceOrder,
@@ -153,9 +154,6 @@ class PortfolioResult:
                 order_name="portfolio",
                 time_seconds=self.elapsed_seconds(),
                 failure_reason=reason,
-                attempts=max((m.attempts for m in self.members), default=1),
-                respawns=sum(m.respawns for m in self.members),
-                degraded=any(m.degraded for m in self.members),
             )
             self._apply_triage_counters(out)
             return out
@@ -177,9 +175,6 @@ class PortfolioResult:
             order_name=f"portfolio[{best.order_name}]",
             mode=best.mode,
             engine=best.engine,
-            attempts=best.attempts,
-            respawns=sum(m.respawns for m in self.members),
-            degraded=best.degraded,
         )
         self._apply_triage_counters(out)
         return out
@@ -190,20 +185,17 @@ def verify_portfolio(
     config: VerifierConfig | None = None,
     *,
     seeds: Sequence[int] = DEFAULT_RANDOM_SEEDS,
-    commutativity_factory: Callable[[Solver], CommutativityRelation] | None = None,
     strategy: str = "sequential",
     member_timeout: float | None = None,
-    retry: "RetryPolicy | None" = None,
     fault_plan: FaultPlan | None = None,
 ) -> PortfolioResult:
     """Run the standard five-order portfolio on *program*.
 
     ``strategy="parallel"`` delegates to
     :func:`repro.verifier.runtime.run_parallel_portfolio` (isolated
-    workers, watchdog ``member_timeout``, ``retry`` policy, optional
-    ``fault_plan``); the default sequential emulation runs the triaged
-    race in-process with per-member crash containment — see the module
-    docstring.
+    workers, watchdog ``member_timeout``, optional ``fault_plan``); the
+    default sequential emulation runs the triaged race in-process with
+    per-member crash containment — see the module docstring.
     """
     if strategy == "parallel":
         from .runtime import run_parallel_portfolio
@@ -213,7 +205,6 @@ def verify_portfolio(
             config,
             seeds=seeds,
             member_timeout=member_timeout,
-            retry=retry,
             fault_plan=fault_plan,
         )
     if strategy != "sequential":
@@ -225,8 +216,36 @@ def verify_portfolio(
         program,
         standard_orders(program, seeds),
         config or VerifierConfig(),
-        commutativity_factory=commutativity_factory,
         fault_plan=fault_plan,
+    )
+
+
+def verify_member(
+    program: ConcurrentProgram,
+    order: PreferenceOrder,
+    config: VerifierConfig,
+    *,
+    fault_plan: FaultPlan | None = None,
+) -> VerificationResult:
+    """One portfolio member, as both races run it.
+
+    A fresh default :class:`Solver`, the member's fault injector if
+    *fault_plan* names it, and :class:`ConditionalCommutativity`.
+    Without faults this is exactly a direct ``verify()`` of *order*
+    under *config*.  Exceptions propagate: each race contains them its
+    own way.
+    """
+    solver = Solver()
+    if fault_plan is not None:
+        injector = fault_plan.injector_for(order.name)
+        if injector is not None:
+            solver.fault_injector = injector
+    return verify(
+        program,
+        order,
+        ConditionalCommutativity(solver),
+        config=config,
+        solver=solver,
     )
 
 
@@ -234,30 +253,12 @@ def _run_member(
     program: ConcurrentProgram,
     order: PreferenceOrder,
     config: VerifierConfig,
-    *,
-    commutativity_factory,
     fault_plan: FaultPlan | None,
 ) -> VerificationResult:
-    """One sequential member: fresh solver, faults, crash containment.
-
-    Without faults or a commutativity factory this is exactly a direct
-    ``verify()`` of *order* under *config* — the reference a completed
-    member is bit-identical to.
-    """
-    solver = Solver()
-    if fault_plan is not None:
-        injector = fault_plan.injector_for(order.name)
-        if injector is not None:
-            solver.fault_injector = injector
-    commutativity = (
-        commutativity_factory(solver)
-        if commutativity_factory is not None
-        else ConditionalCommutativity(solver)
-    )
+    """One sequential member: :func:`verify_member` with crash
+    containment."""
     try:
-        return verify(
-            program, order, commutativity, config=config, solver=solver
-        )
+        return verify_member(program, order, config, fault_plan=fault_plan)
     except Exception as exc:  # crash containment (parity with the
         # parallel runtime: a misbehaving member must not kill the
         # portfolio; KeyboardInterrupt etc. still propagate)
@@ -274,8 +275,6 @@ def _sequential_triaged(
     program: ConcurrentProgram,
     orders: list[PreferenceOrder],
     config: VerifierConfig,
-    *,
-    commutativity_factory,
     fault_plan: FaultPlan | None,
 ) -> PortfolioResult:
     """The triaged sequential race: rank, ladder, short-circuit.
@@ -325,9 +324,7 @@ def _sequential_triaged(
         survivors: list[str] = []
         for name in pending:
             member = _run_member(
-                program, order_by_name[name], stage_config,
-                commutativity_factory=commutativity_factory,
-                fault_plan=fault_plan,
+                program, order_by_name[name], stage_config, fault_plan
             )
             runs.append(member.time_seconds)
             spent[name] += member.time_seconds

@@ -292,9 +292,6 @@ def _stage_refine(ps: _PipelineState) -> VerificationResult:
         # long portfolio runs do not leak term references across
         # independent queries (the intern table itself is weak)
         compact_kernel(KERNEL_COMPACT_THRESHOLD)
-        # degradation flag from a DegradingCommutativity (runtime policy)
-        if getattr(commutativity, "degraded", False):
-            result.degraded = True
         if ps.tracking:
             import tracemalloc
 

@@ -27,9 +27,6 @@ _CSV_FIELDS = (
     "peak_memory_bytes",
     *CSV_COLUMNS,
     "failure_reason",
-    "attempts",
-    "respawns",
-    "degraded",
 )
 
 
@@ -57,9 +54,6 @@ def _record(r: VerificationResult) -> dict:
             r.query_stats.as_dict() if r.query_stats is not None else None
         ),
         "failure_reason": r.failure_reason,
-        "attempts": r.attempts,
-        "respawns": r.respawns,
-        "degraded": r.degraded,
     }
 
 

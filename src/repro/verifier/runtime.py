@@ -13,25 +13,14 @@ failure reason; it can never take the harness down with it.
 
 It is the paper's plain race: all five members spawn at once, in
 :func:`~repro.verifier.portfolio.standard_orders` order, and each runs
-once at its full budget.  Triage (ranking, budget slices) belongs to the
-sequential race only — with every member already running, a budget
-slice could only kill a member and start it again cold.
-
-Robustness policies on top of isolation:
-
-* **Escalating-budget retries** (:class:`RetryPolicy`): members ending in
-  UNKNOWN/TIMEOUT/ERROR are re-spawned with multiplied solver
-  branch/node budgets and deadlines, a bounded number of times, with
-  deterministic jittered backoff between respawns.
-* **Graceful degradation**
-  (:class:`~repro.verifier.pool.DegradingCommutativity`): a member
-  whose conditional-commutativity checks keep ending in
-  ``SolverUnknown`` falls back to syntactic commutativity for the rest
-  of its run (sound — it only declares *less* commutativity) and records
-  that it did (``VerificationResult.degraded``).
-* **Deterministic fault injection** (:mod:`repro.verifier.faults`):
-  the whole stack is testable because faults are seeded and scheduled
-  by sat-query index.
+once at its full budget.  A member is built by
+:func:`~repro.verifier.portfolio.verify_member`, exactly as the
+sequential race builds it, so a member that finishes returns what a
+direct ``verify()`` of its order returns.  Triage (ranking, budget
+slices) belongs to the sequential race only — with every member
+already running, a budget slice could only kill a member and start it
+again cold.  Faults injected by :mod:`repro.verifier.faults` (seeded,
+scheduled by sat-query index) make every failure path testable.
 
 The sequential emulation (`verify_portfolio(strategy="sequential")`)
 remains the default so the paper-figure benchmarks stay exactly
@@ -42,64 +31,18 @@ harness.
 
 from __future__ import annotations
 
-import random
 import signal as signal_module
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.preference import PreferenceOrder
 from ..lang.program import ConcurrentProgram
 from . import pool
-from .faults import FaultPlan, derive_seed
+from .faults import FaultPlan
 from .refinement import VerifierConfig
 from .stats import Verdict, VerificationResult
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, escalating, deterministically-jittered member retries.
-
-    ``max_attempts`` counts total runs of a member (1 = never retry).
-    Each retry multiplies the solver branch/node budgets, the
-    verification time budget, and the watchdog deadline by
-    ``budget_scale`` (cumulatively), and waits
-    ``backoff_seconds * budget_scale**(attempt-1)`` plus a seeded jitter
-    before respawning, so a crashing member cannot hot-loop.
-    """
-
-    max_attempts: int = 1
-    budget_scale: float = 2.0
-    backoff_seconds: float = 0.05
-    jitter: float = 0.5
-    seed: int = 0
-    retry_on: frozenset = frozenset(
-        {Verdict.UNKNOWN, Verdict.TIMEOUT, Verdict.ERROR}
-    )
-
-    def scale(self, attempt: int) -> float:
-        """Budget multiplier for *attempt* (1-based; attempt 1 → 1.0)."""
-        return self.budget_scale ** (attempt - 1)
-
-    def backoff(self, member: str, attempt: int) -> float:
-        """Deterministic jittered pause before respawning *member*."""
-        rng = random.Random(derive_seed(self.seed, f"{member}#{attempt}"))
-        base = self.backoff_seconds * self.scale(attempt)
-        return base * (1.0 + self.jitter * rng.random())
-
-    def schedule(self, member: str, attempts: int | None = None) -> list[float]:
-        """The full backoff schedule for *member* (test/debug preview).
-
-        Replays :meth:`backoff` for attempts ``1..attempts`` (default:
-        ``max_attempts``), so two previews of the same policy and member
-        always agree — the property the determinism tests pin.
-        """
-        n = self.max_attempts if attempts is None else attempts
-        return [self.backoff(member, attempt) for attempt in range(1, n + 1)]
-
-    def wants_retry(self, verdict: Verdict, attempt: int) -> bool:
-        return verdict in self.retry_on and attempt < self.max_attempts
 
 
 @dataclass
@@ -107,21 +50,14 @@ class _Member:
     """Parent-side lifecycle record of one portfolio member."""
 
     order: PreferenceOrder
-    attempt: int = 0
     worker: pool.Worker | None = None
     spawned_at: float = 0.0
     deadline: float | None = None
-    next_spawn: float = 0.0
-    history: list = field(default_factory=list)
     final: VerificationResult | None = None
 
     @property
     def name(self) -> str:
         return self.order.name
-
-    @property
-    def running(self) -> bool:
-        return self.worker is not None
 
 
 def run_parallel_portfolio(
@@ -130,9 +66,7 @@ def run_parallel_portfolio(
     *,
     seeds: Sequence[int] = (1, 2, 3),
     member_timeout: float | None = None,
-    retry: RetryPolicy | None = None,
     fault_plan: FaultPlan | None = None,
-    degrade_after: int = pool.DEFAULT_DEGRADE_AFTER,
 ):
     """Run the standard portfolio with true parallel semantics.
 
@@ -146,9 +80,6 @@ def run_parallel_portfolio(
     from ..logic import kernel_counters
 
     config = config or VerifierConfig()
-    retry = retry or RetryPolicy()
-    if fault_plan is None:
-        fault_plan = FaultPlan.from_env()
     started = time.perf_counter()
     # terms crossing the worker→parent pipe re-intern into this process's
     # table via Term.__reduce__; snapshot the counter so the winner's
@@ -159,33 +90,16 @@ def run_parallel_portfolio(
     outcome = PortfolioResult(program_name=program.name, strategy="parallel")
 
     def spawn(member: _Member) -> None:
-        member.attempt += 1
-        scale = retry.scale(member.attempt)
-        worker_config = replace(
-            config,
-            time_budget=(
-                config.time_budget * scale
-                if config.time_budget is not None
-                else None
-            ),
-        )
         member.worker = pool.Worker(
             program,
             member.order,
-            worker_config,
-            attempt=member.attempt,
-            name=f"portfolio-{program.name}-{member.name}-a{member.attempt}",
-            scale=scale,
-            fault_plan=(
-                fault_plan.member_plan(member.name)
-                if fault_plan is not None
-                else None
-            ),
-            degrade_after=degrade_after,
+            config,
+            name=f"portfolio-{program.name}-{member.name}",
+            fault_plan=fault_plan,
         )
         member.spawned_at = member.worker.started
         member.deadline = (
-            member.spawned_at + member_timeout * scale
+            member.spawned_at + member_timeout
             if member_timeout is not None
             else None
         )
@@ -206,58 +120,34 @@ def run_parallel_portfolio(
             failure_reason=reason,
         )
 
-    def finish_attempt(member: _Member, result: VerificationResult) -> None:
-        result.attempts = member.attempt
-        result.respawns = member.attempt - 1
-        member.history.append(result)
+    def finish(member: _Member, result: VerificationResult) -> None:
         reap(member)
-        if retry.wants_retry(result.verdict, member.attempt):
-            member.next_spawn = time.perf_counter() + retry.backoff(
-                member.name, member.attempt
-            )
-        else:
-            member.final = result
+        member.final = result
 
     def drain(member: _Member) -> None:
-        """End the attempt on a result, a crash or a death."""
+        """End the member on a result, a crash or a death."""
         for kind, payload in member.worker.events():
             if kind == "result":
-                finish_attempt(member, payload)
+                finish(member, payload)
             else:  # "crash" | "died"
-                finish_attempt(
-                    member, synthesize(Verdict.ERROR, member, payload)
-                )
+                finish(member, synthesize(Verdict.ERROR, member, payload))
 
     def cancel(member: _Member, winner_name: str) -> None:
-        if member.running and not member.worker.alive:
+        if not member.worker.alive:
             # the worker exited on its own before the win was seen: that
             # is its outcome (a crash, or a message still queued), not a
             # cancellation
             drain(member)
             if member.final is not None:
                 return
-        now = time.perf_counter()
-        was_running = member.running
-        reap(member)
-        if member.history:
-            # a cancelled retry keeps its last observed failure — that
-            # is the honest record of what the member did
-            result = member.history[-1]
-            suffix = f"; cancelled (portfolio winner: {winner_name})"
-            result.failure_reason = (result.failure_reason or "") + suffix
-            result.attempts = member.attempt
-            result.respawns = member.attempt - 1
-        else:
-            result = synthesize(
+        finish(
+            member,
+            synthesize(
                 Verdict.UNKNOWN,
                 member,
                 f"cancelled (portfolio winner: {winner_name})",
-            )
-            result.attempts = member.attempt
-            result.respawns = member.attempt - 1
-            if was_running:
-                result.time_seconds = now - member.spawned_at
-        member.final = result
+            ),
+        )
 
     # graceful termination: a SIGTERM/SIGINT to the parent must cancel
     # and reap the workers (no orphan process trees) and still return a
@@ -280,64 +170,43 @@ def run_parallel_portfolio(
         """Cancel + reap every unfinished member after a signal."""
         name = signal_module.Signals(signum).name
         for member in members:
-            if member.final is not None:
-                continue
-            was_running = member.running
-            reap(member)
-            result = synthesize(
-                Verdict.ERROR,
-                member,
-                f"terminated by {name}: worker cancelled and reaped",
-            )
-            result.attempts = max(member.attempt, 1)
-            result.respawns = max(member.attempt - 1, 0)
-            if not was_running:
-                result.time_seconds = 0.0
-            member.final = result
+            if member.final is None:
+                finish(
+                    member,
+                    synthesize(
+                        Verdict.ERROR,
+                        member,
+                        f"terminated by {name}: worker cancelled and reaped",
+                    ),
+                )
 
     winner: VerificationResult | None = None
     try:
+        for member in members:
+            spawn(member)
         while winner is None and any(m.final is None for m in members):
             if received_signals:
                 terminate(received_signals[0])
                 break
+            running = {m.worker: m for m in members if m.final is None}
+            for worker in pool.wait(list(running)):
+                drain(running[worker])
+
             now = time.perf_counter()
             for member in members:
                 if (
                     member.final is None
-                    and not member.running
-                    and now >= member.next_spawn
+                    and member.deadline is not None
+                    and now > member.deadline
                 ):
-                    spawn(member)
-
-            workers = [m.worker for m in members if m.running]
-            if workers:
-                ready = pool.wait(workers)
-            else:
-                # everyone alive is waiting out a retry backoff
-                time.sleep(pool.POLL_INTERVAL)
-                ready = []
-
-            by_worker = {m.worker: m for m in members if m.running}
-            for worker in ready:
-                drain(by_worker[worker])
-
-            now = time.perf_counter()
-            for member in members:
-                if not member.running:
-                    continue
-                if member.deadline is not None and now > member.deadline:
-                    budget = member.deadline - member.spawned_at
-                    finish_attempt(
+                    finish(
                         member,
                         synthesize(
                             Verdict.TIMEOUT,
                             member,
-                            f"watchdog: killed after {budget:.1f}s "
-                            f"(attempt {member.attempt})",
+                            f"watchdog: killed after {member_timeout:.1f}s",
                         ),
                     )
-
 
             for member in members:
                 if member.final is not None and member.final.verdict.solved:

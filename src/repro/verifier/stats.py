@@ -446,13 +446,8 @@ class VerificationResult:
     paper's proof-size metric.  ``num_predicates`` is the size of the
     underlying predicate vocabulary.
 
-    Runtime provenance (filled in by the portfolio runtime): ``attempts``
-    is how many times this member ran (1 = no retry), ``respawns`` how
-    many worker processes were re-started after a crash/kill,
-    ``failure_reason`` a human-readable cause for
-    ERROR/TIMEOUT/cancelled outcomes, and ``degraded`` records that the
-    member fell back from conditional to syntactic commutativity after
-    too many solver give-ups.
+    ``failure_reason`` is a human-readable cause for
+    ERROR/TIMEOUT/cancelled outcomes (filled in by the portfolio races).
     """
 
     program_name: str
@@ -472,9 +467,6 @@ class VerificationResult:
     #: which exploration engine ran (``VerifierConfig.engine``)
     engine: str = "fast"
     failure_reason: str | None = None
-    attempts: int = 1
-    respawns: int = 0
-    degraded: bool = False
 
     def summary(self) -> str:
         parts = [
@@ -485,10 +477,6 @@ class VerificationResult:
             f"states={self.states_explored}",
             f"time={self.time_seconds:.2f}s",
         ]
-        if self.attempts > 1:
-            parts.append(f"attempts={self.attempts}")
-        if self.degraded:
-            parts.append("degraded=syntactic")
         if self.failure_reason:
             parts.append(f"reason={self.failure_reason}")
         return "  ".join(parts)

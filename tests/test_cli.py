@@ -235,6 +235,16 @@ class TestOtherCommands:
         assert err.count("\n") == 1
         assert "2 states" in err and "--max-states" in err
 
+    def test_member_timeout_needs_parallel_portfolio(
+        self, program_file, capsys
+    ):
+        argv = ["portfolio", program_file, "--member-timeout", "5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--member-timeout needs --parallel-portfolio" in captured.err
+
     @pytest.mark.parametrize(
         "command",
         [["verify"], ["reduce"], ["portfolio"], ["orders"], ["diff-verify"]],

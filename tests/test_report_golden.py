@@ -48,9 +48,6 @@ def golden_results() -> list[VerificationResult]:
         order_name="seq",
         mode="sleep",
         failure_reason='budget, "quoted"',
-        attempts=2,
-        respawns=1,
-        degraded=True,
     )
     bare = VerificationResult(
         program_name="bare", verdict=Verdict.CORRECT, order_name="lockstep"
@@ -70,14 +67,13 @@ CSV_TEXT = (
     "delta_threads_unchanged,delta_threads_edited,delta_hoare_reused,"
     "delta_comm_reused,delta_fact_reuse_rate,triage_ranker_hits,"
     "triage_ladder_stages,triage_preemptions,"
-    "triage_budget_saved_seconds,failure_reason,attempts,respawns,"
-    "degraded\r\n"
+    "triage_budget_saved_seconds,failure_reason\r\n"
     "golden,incorrect,seq,sleep,fast,3,5,7,11,1.2346,2500000,1,5,"
     "9.0000,9,0.6842,0.4865,17,20,22,25,28,30,0.4923,0.4932,35,40,"
     "0.4938,42,44,45,47,49,0.4948,52,53,54,55.6250,"
-    '"budget, ""quoted""",2,1,1\r\n'
+    '"budget, ""quoted"""\r\n'
     "bare,correct,lockstep,combined,fast,0,0,0,0,0.0000,0,,,,,,,,,,,,,,"
-    ",,,,,,,,,,,,,,,1,0,0\r\n"
+    ",,,,,,,,,,,,,,\r\n"
 )
 
 
@@ -97,9 +93,6 @@ JSON_KEYS = (
     "predicates",
     "query_stats",
     "failure_reason",
-    "attempts",
-    "respawns",
-    "degraded",
 )
 
 
@@ -247,8 +240,6 @@ RESULT_ROWS = [
         "memory_mb": 2.5,
         "order": "seq",
         "failure_reason": 'budget, "quoted"',
-        "attempts": 2,
-        "degraded": True,
         "solver_queries": 1,
         "solver_hit_rate": 9.0,
         "comm_hit_rate": 0.6842,

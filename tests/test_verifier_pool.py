@@ -1,4 +1,4 @@
-"""The forked-worker module: every way an attempt can fail reaches the
+"""The forked-worker module: every way a worker can fail reaches the
 parallel portfolio as one formatted failure reason."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ import re
 import pytest
 
 from repro import VerifierConfig, parse
-from repro.verifier import RetryPolicy, Verdict, run_parallel_portfolio
+from repro.verifier import Verdict, run_parallel_portfolio
 from repro.verifier.faults import FaultPlan
 
 CORRECT_SRC = (
@@ -22,17 +22,17 @@ CONTRACT = [
         "seed=3;crash_at=0",
         Verdict.ERROR,
         r"worker crashed: InjectedCrash: injected crash "
-        r"\(member '[^']+', query 0\) \(attempt 1\)",
+        r"\(member '[^']+', query 0\)",
     ),
     (
         "seed=3;exit_at=0",
         Verdict.ERROR,
-        r"worker died \(exit code 86, attempt 1\)",
+        r"worker died \(exit code 86\)",
     ),
     (
         "seed=3;hang_at=0;hang_s=60",
         Verdict.TIMEOUT,
-        r"watchdog: killed after \d+\.\ds \(attempt 1\)",
+        r"watchdog: killed after \d+\.\ds",
     ),
 ]
 
@@ -54,7 +54,6 @@ def test_portfolio_reports_worker_failures(faults, verdict, reason):
         VerifierConfig(max_rounds=20),
         seeds=(1,),
         member_timeout=_watchdog(faults),
-        retry=RetryPolicy(max_attempts=1),
         fault_plan=FaultPlan.parse(faults),
     )
     assert len(outcome.members) == 3

@@ -113,18 +113,6 @@ class TestAggregateFailurePath:
         assert pr.elapsed_seconds() == 7.25
         assert pr.aggregate().time_seconds == 7.25
 
-    def test_aggregate_rolls_up_retry_counters(self):
-        pr = PortfolioResult("p")
-        a = result(Verdict.UNKNOWN, 1.0, "seq")
-        a.attempts, a.respawns = 3, 2
-        b = result(Verdict.UNKNOWN, 1.0, "lockstep")
-        b.attempts, b.respawns, b.degraded = 2, 1, True
-        pr.members = [a, b]
-        agg = pr.aggregate()
-        assert agg.attempts == 3
-        assert agg.respawns == 3
-        assert agg.degraded
-
 
 class TestTriageCounterFold:
     COUNTER = (
